@@ -58,10 +58,10 @@ def _terminal_F(A: float, B: float, s: float) -> float:
     return float(sol.y[0, -1])
 
 
-def _march(rhs, y0, etas):
-    """States at each eta, integrating node to node so each is a step end."""
+def _march(rhs, y0):
+    """States at each of ETAS, integrating node to node so each is a step end."""
     out = [np.asarray(y0, dtype=float)]
-    for a, b in zip(etas[:-1], etas[1:]):
+    for a, b in zip(ETAS[:-1], ETAS[1:]):
         sol = solve_ivp(rhs, (a, b), out[-1], method="DOP853", rtol=RTOL, atol=ATOL)
         if sol.status != 0:
             raise RuntimeError(f"integration failed on [{a}, {b}]: {sol.message}")
@@ -80,7 +80,7 @@ def curvature(A: float, B: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def solve(alpha: float, Re: float, H: float, Pr: float, beta: float, etas=ETAS):
+def solve(alpha: float, Re: float, H: float, Pr: float, beta: float):
     """(F, theta) at each eta for one parameter set, as two float arrays."""
     A, B = 2.0 * alpha * Re, (4.0 - H) * alpha**2
     s = curvature(A, B)
@@ -92,17 +92,16 @@ def solve(alpha: float, Re: float, H: float, Pr: float, beta: float, etas=ETAS):
         f, df, _, phi, dphi = y
         return (*vel(eta, y[:3]), dphi, -(q0 + qc * f) * phi - (d0 * f * f + df * df))
 
-    etas = tuple(etas)
-    trial0 = _march(rhs, (1.0, 0.0, s, 0.0, 0.0), etas)
-    trial1 = _march(rhs, (1.0, 0.0, s, 1.0, 0.0), etas)
+    trial0 = _march(rhs, (1.0, 0.0, s, 0.0, 0.0))
+    trial1 = _march(rhs, (1.0, 0.0, s, 1.0, 0.0))
     c = trial0[-1, 3] / (trial0[-1, 3] - trial1[-1, 3])
     phi = trial0[:, 3] + c * (trial1[:, 3] - trial0[:, 3])
     return trial0[:, 0], beta * Pr * phi
 
 
-def closed_form_velocity(B: float, etas=ETAS) -> np.ndarray:
+def closed_form_velocity(B: float) -> np.ndarray:
     """F at A = 0: 1 - (1 - cos(sqrt(B) eta)) / (1 - cos(sqrt(B))), any B != 0."""
-    eta = np.asarray(etas, dtype=float)
+    eta = np.asarray(ETAS, dtype=float)
     if B > 0:
         k = math.sqrt(B)
         return 1.0 - (1.0 - np.cos(k * eta)) / (1.0 - math.cos(k))

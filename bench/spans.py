@@ -43,11 +43,11 @@ METHODS = (
     for name in ("__add__", "__mul__", "__rmul__", "differentiate", "antiderivative", "evaluate")
 )
 REPORT_WRITERS = "write_"  # every public report.write_* function
+PACKAGE = "jhflow"
 
 
 class Tracer:
-    def __init__(self, package: str = "jhflow"):
-        self.package = package
+    def __init__(self):
         self.spans: list[list] = []  # [id, parent id, name, start, end]
         self.stats: dict[str, list] = {}  # name -> [calls, total s, self s]
         self.counts: Counter = Counter()
@@ -131,11 +131,11 @@ class Tracer:
     # -- installing --------------------------------------------------------
 
     def _module(self, short: str):
-        return sys.modules.get(f"{self.package}.{short}")
+        return sys.modules.get(f"{PACKAGE}.{short}")
 
     def _rebind(self, original, wrapper) -> None:
         for mod_name, module in list(sys.modules.items()):
-            if mod_name != self.package and not mod_name.startswith(self.package + "."):
+            if mod_name != PACKAGE and not mod_name.startswith(PACKAGE + "."):
                 continue
             for attr, value in list(vars(module).items()):
                 if value is original:

@@ -1,13 +1,16 @@
-"""The workload process: imports jhflow, runs rounds of operations, times them.
+"""The workload process: imports jhflow, runs one round of operations, times it.
 
-    python3 bench/worker.py --workload W --seed N --seconds S --trace 0|1 --out DIR
+    python3 bench/worker.py --workload W --seed N --out DIR [--trace-file PATH]
 
-`bench/run.py` starts this as a fresh process, so the import of `jhflow.cli`
-here is the cold set-up every CLI call pays.  The jhflow imported is the one
-under `src/` next to this directory, never an installed copy.  Each round
-writes under DIR/round-<k>.  The last line of stdout is one JSON object with
-the import-done clock reading, each round's figures and the peak RSS; jhflow's
-own stdout and stderr are captured per operation and kept out of it.
+`bench/run.py` starts this as a fresh process for every round, so the import
+of `jhflow.cli` here is the cold set-up every CLI call pays, and nothing a
+round leaves in memory can speed up the next one: a real `jhflow` call starts
+in a fresh process too.  The jhflow imported is the one under `src/` next to
+this directory, never an installed copy.  The round writes under DIR.  With
+--trace-file the round runs traced and its spans are saved there.  The last
+line of stdout is one JSON object with the import-done clock reading, the
+round's figures, the peak RSS and, when traced, the per-layer metrics;
+jhflow's own stdout and stderr are captured per operation and kept out of it.
 """
 
 import sys
@@ -31,10 +34,6 @@ import traceback  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import workloads  # noqa: E402
-
-
-def _bytes_under(path: Path) -> int:
-    return sum(p.stat().st_size for p in path.rglob("*") if p.is_file())
 
 
 def run_op(op: workloads.Op) -> tuple[int, str]:
@@ -89,48 +88,27 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", required=True)
     parser.add_argument("--trace-file")
     args = parser.parse_args()
-    out = Path(args.out)
-    rounds = []
     layers = None
-    if args.trace:
-        # One untraced and one traced round on the same inputs, so the counts
-        # repeat exactly for a seed and their difference is the overhead.
+    if args.trace_file:
         from spans import Tracer
 
-        rounds.append(run_round(args.workload, args.seed, out / "round-0"))
         tracer = Tracer()
         tracer.install()
         try:
-            traced = run_round(args.workload, args.seed, out / "traced")
+            result = run_round(args.workload, args.seed, Path(args.out))
         finally:
             tracer.uninstall()
-        rounds.append(traced)
         layers = tracer.metrics()
-        layers["report.bytes_written"] = _bytes_under(out / "traced")
-        layers["trace.overhead_s"] = traced["wall_s"] - rounds[0]["wall_s"]
-        if args.trace_file:
-            tracer.write(
-                args.trace_file, workload=args.workload, seed=args.seed,
-                round=traced, metrics=layers,
-            )
+        tracer.write(args.trace_file, workload=args.workload, seed=args.seed, round=result)
     else:
-        # Whole rounds while one more, at the mean round time so far, still
-        # fits in --seconds; at least one.
-        measured = 0.0
-        while True:
-            rounds.append(run_round(args.workload, args.seed, out / f"round-{len(rounds)}"))
-            measured += rounds[-1]["wall_s"]
-            if measured + measured / len(rounds) > args.seconds:
-                break
+        result = run_round(args.workload, args.seed, Path(args.out))
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({
         "ready": READY,
-        "rounds": rounds,
+        "round": result,
         "peak_rss_mb": peak_kb / 1024.0,
         "layers": layers,
     }))
