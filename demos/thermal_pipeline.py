@@ -2,7 +2,8 @@
 #
 # The temperature equation is linear in theta with the velocity frozen,
 # so the velocity series is fitted first and handed to the thermal
-# objective.  The thermal decomposition used here is the scale-consistent
+# objective.  The temperature series is affine in C8..C13 as well, so the
+# thermal fit is one linear least-squares solve.  The thermal decomposition used here is the scale-consistent
 # one: the seed solves the homogeneous stage, so every stage inherits the
 # tiny dissipation scale instead of mixing it with an order-one source.
 

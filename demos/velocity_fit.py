@@ -1,9 +1,11 @@
 # Identifying the free series parameters by least squares.
 #
 # The residual of the governing equation, squared and integrated over the
-# channel with Gauss-Legendre weights, is minimized over C1..C7 with a
-# damped Gauss-Newton loop started from several points.  The resulting
-# series is then judged against the shooting solution on a uniform grid.
+# channel with Gauss-Legendre weights, is minimized with a damped
+# Gauss-Newton loop started from several points.  The loop runs in the
+# products z = (C1, C1*C2, ..., C1*C7), in which the series is affine, and
+# maps the winner back to C1..C7.  The resulting series is then judged
+# against the shooting solution on a uniform grid.
 
 import time
 
@@ -23,7 +25,7 @@ params = case.params
 t0 = time.time()
 spec = velocity_objective_spec(params)
 result = fit(spec, params, seed=0)
-print("fit in %.1fs, converged=%s, objective=%.3e" % (time.time() - t0, result.converged, result.objective_value))
+print("fit in %.2fs, converged=%s, objective=%.3e" % (time.time() - t0, result.converged, result.objective_value))
 for name, value in result.parameters.items():
     print("  %s = % .10f" % (name, value))
 

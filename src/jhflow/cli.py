@@ -12,6 +12,10 @@ export-plot-data    101-point series-vs-oracle profile, CSV or JSON
 Exit codes: 0 success, 2 invalid input, 3 numerical failure (shooting or
 fit did not converge), 4 missing data (unknown case or table).  Failures
 print a one-line JSON error object to stderr.
+
+Every subcommand takes the oracle step --h.  It is checked before any work:
+it must be finite, lie in (0, 0.5], divide [0, 1] evenly and give at most
+10**6 steps, otherwise the command exits 2.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .model import (
     thermal_solution,
     velocity_solution,
 )
-from .oracle import DEFAULT_STEP, OracleError, shoot_thermal, shoot_velocity
+from .oracle import DEFAULT_STEP, OracleError, _check_step, shoot_thermal, shoot_velocity
 from .polyalg import PolynomialError
 
 EXIT_OK = 0
@@ -52,6 +56,13 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors through main's one-line JSON error, exit 2."""
+
+    def error(self, message: str):
+        raise CliError(EXIT_INVALID, message)
 
 
 def _emit_error(code: int, kind: str, message: str) -> int:
@@ -127,8 +138,8 @@ def _cmd_fit(args) -> int:
         records["thermal"] = fit(th_spec, params, seed=args.seed)
     manifest = {"case": case.id, "files": {}}
     failed = []
+    vel = shoot_velocity(params, h=args.h)
     for problem, result in records.items():
-        vel = shoot_velocity(params, h=args.h)
         oracle = vel if problem == "velocity" else shoot_thermal(params, vel, h=args.h)
         component = "F" if problem == "velocity" else "theta"
         series = (
@@ -250,7 +261,7 @@ def _add_common(parser: argparse.ArgumentParser, with_case: bool = True) -> None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="jhflow",
         description="Series and shooting solutions for wedge-channel flow and heat transfer.",
     )
@@ -304,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        _check_step(args.h)
         return args.handler(args)
     except CliError as exc:
         return _emit_error(exc.code, type(exc).__name__, str(exc))

@@ -3,19 +3,24 @@
 The assembled two-correction solution depends on a small vector of free
 constants.  This module picks those constants by minimizing the integrated
 squared defect of the governing equation over [0, 1], sampled with a fixed
-quadrature rule.  The primary minimizer is a hand-rolled Levenberg-Marquardt
-iteration on the residual vector (the objective is a smooth sum of squares);
-a derivative-free simplex fallback is available for cross-checking.
+quadrature rule.  Both series are affine in a known parameter vector, and
+the identification uses that structure:
+
+- theta = u0 + C8*a + sum_j Cj*b_j and the temperature equation is linear,
+  so the thermal defect is affine in C8..C13 and one linear least-squares
+  solve gives the exact minimizer.
+- F = u0 + z1*a + sum_k zk*b_k in the products z = (C1, C1*C2, ..., C1*C7),
+  so the velocity defect is quadratic in z.  A hand-rolled
+  Levenberg-Marquardt iteration minimizes it over z from several starts;
+  a derivative-free simplex fallback is available for cross-checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .model import (
     MODE_SCALE_CONSISTENT,
@@ -69,7 +74,6 @@ class ObjectiveSpec:
     weights: tuple[float, ...]
     parameter_names: tuple[str, ...]
     normalization: float = 1.0
-    bounds: Mapping[str, tuple[float, float]] | None = None
     mode: str = MODE_SCALE_CONSISTENT
     velocity_polynomial: LaurentPoly | None = None
 
@@ -163,31 +167,47 @@ def residual_vector(
     return np.sqrt(np.asarray(spec.weights)) * samples
 
 
+def _lead_index(spec: ObjectiveSpec) -> int:
+    """Slot of the constant that every correction is proportional to."""
+    names = VELOCITY_PARAM_NAMES if spec.problem == "velocity" else THERMAL_PARAM_NAMES
+    return spec.parameter_names.index(names[0])
+
+
+def _stage_basis(spec: ObjectiveSpec, params: FlowParams) -> list[LaurentPoly]:
+    """Seed u0, then one series column per parameter slot.
+
+    With the lead constant L (C1 or C8) and the others Ck, the first
+    correction is L times a fixed polynomial a.  The second correction is a
+    sum of fixed polynomials b_k, weighted by L*Ck for the velocity (its
+    right-hand side is bilinear in u1 and the multiplier) and by Ck for the
+    temperature (its multiplier divides by C8).  The seed expansion does not
+    depend on the constants.  The columns are read off the stage solution
+    at the zero vector (u0), at L = 1 (u1 = a) and at L = Ck = 1 (u2 = b_k),
+    in the order of spec.parameter_names.
+    """
+    unit = np.eye(len(spec.parameter_names))
+    lead = _lead_index(spec)
+    columns = [assemble(np.zeros_like(unit[lead]), spec, params).u0]
+    for k, row in enumerate(unit):
+        if k == lead:
+            columns.append(assemble(row, spec, params).u1)
+        else:
+            columns.append(assemble(unit[lead] + row, spec, params).u2)
+    return columns
+
+
 def _velocity_residual_from_basis(
     spec: ObjectiveSpec, params: FlowParams
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """residual_vector of a velocity spec, sampled from the stage basis.
+    """residual_vector of a velocity spec as a function of the products z.
 
-    The velocity series is exactly u0 + C1*a + sum_k C1*Ck*b_k: the first
-    correction is linear in C1 (its multiplier is -60*C1), the second
-    correction's right-hand side is bilinear in C1 and the other constants,
-    and the seed expansion does not depend on them.  The columns are read
-    off velocity_solution at the zero vector, at C1 = 1 and at C1 = Ck = 1;
-    F, F' and F''' of each are sampled once at the nodes, so every
-    evaluation after that is three small matrix-vector products.
+    z holds C1 in C1's slot and C1*Ck in the slot of every other Ck, so the
+    series is u0 plus the stage-basis columns weighted by z.  F, F' and
+    F''' of each column are sampled once at the nodes, so every evaluation
+    after that is three small matrix-vector products.
     """
-    names = spec.parameter_names
-    zero = dict.fromkeys(names, 0.0)
-    first = VELOCITY_PARAM_NAMES[0]
-    at_first = {**zero, first: 1.0}
-    columns = [velocity_solution(params, zero).u0]
-    for name in names:
-        if name == first:
-            columns.append(velocity_solution(params, at_first).u1)
-        else:
-            columns.append(velocity_solution(params, {**at_first, name: 1.0}).u2)
-    i_first = names.index(first)
     eta = np.asarray(spec.nodes)
+    columns = _stage_basis(spec, params)
     F, dF, d3F = (
         np.column_stack([c.differentiate(k).evaluate(eta) for c in columns])
         for k in (0, 1, 3)
@@ -195,15 +215,34 @@ def _velocity_residual_from_basis(
     scale = np.sqrt(np.asarray(spec.weights)) / spec.normalization
     A, B = params.A, params.B
 
-    def fun(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        coeffs = x[i_first] * x
-        coeffs[i_first] = x[i_first]
-        coeffs = np.concatenate(([1.0], coeffs))
+    def fun(z: np.ndarray) -> np.ndarray:
+        coeffs = np.concatenate(([1.0], z))
         f, df = F @ coeffs, dF @ coeffs
         return scale * (d3F @ coeffs + A * (f * df) + B * df)
 
     return fun
+
+
+def _thermal_least_squares(spec: ObjectiveSpec, params: FlowParams) -> np.ndarray:
+    """The parameters that minimize a thermal objective, by one lstsq solve.
+
+    residual_thermal is affine in theta, so the weighted defect of
+    u0 + sum_k Ck*column_k is r0 + M @ C: r0 is the defect of u0, and each
+    column of M is the defect of a stage-basis column less that of theta = 0.
+    """
+    carrier = spec.velocity_polynomial
+    if carrier is None:
+        carrier = velocity_seed()
+    eta = np.asarray(spec.nodes)
+    scale = np.sqrt(np.asarray(spec.weights)) / spec.normalization
+
+    def weighted(theta: LaurentPoly) -> np.ndarray:
+        return scale * residual_thermal(theta, carrier, params).evaluate(eta)
+
+    seed, *columns = _stage_basis(spec, params)
+    source = weighted(LaurentPoly.zero())
+    M = np.column_stack([weighted(c) - source for c in columns])
+    return np.linalg.lstsq(M, -weighted(seed), rcond=None)[0]
 
 
 def objective(
@@ -350,60 +389,31 @@ def fit(
     method: str = "lm",
     max_iterations: int = _MAX_ITERATIONS,
 ) -> FitResult:
-    """Best local minimum of the objective over all starts.
+    """Minimizer of the objective: exact for a thermal spec, multi-start for velocity.
 
-    Each start may be an ordered coefficient vector or a mapping keyed by
-    parameter name.  A velocity objective is minimized through its stage
-    basis (_velocity_residual_from_basis), which equals residual_vector to
-    rounding.  The returned objective value is recomputed from scratch
-    at the winning parameters rather than reusing the optimizer's running
-    value.
+    A thermal objective is minimized by one linear least-squares solve
+    (_thermal_least_squares).  It ignores starts, seed, method and
+    max_iterations, and reports converged=True after 0 iterations.
+
+    A velocity objective is minimized in the products z of
+    _velocity_residual_from_basis from every start, and the best local
+    minimum wins.  Each start may be an ordered coefficient vector or a
+    mapping keyed by parameter name.  It is mapped to z1 = C1, zk = C1*Ck;
+    the winner is mapped back to C1 = z1, Ck = zk/z1, or to zeros when
+    z1 = 0.
+
+    The returned objective value is recomputed from scratch through
+    objective at the winning parameters rather than reusing the
+    optimizer's running value.
     """
     if method not in ("lm", "nelder-mead"):
         raise ValueError(f"unknown method {method!r}")
-    if starts is None:
-        starts = default_starts(spec, seed=seed)
-    if not starts:
-        raise ValueError("at least one start is required")
-    bounds = None
-    if spec.bounds is not None:
-        bounds = [spec.bounds.get(name, (-np.inf, np.inf)) for name in spec.parameter_names]
-
-    if spec.problem == "velocity":
-        fun = _velocity_residual_from_basis(spec, params)
+    if spec.problem == "thermal":
+        x, iters, converged, log = _thermal_least_squares(spec, params), 0, True, []
     else:
-        fun = partial(residual_vector, spec=spec, params=params)
-
-    best: tuple[float, np.ndarray, int, bool, list[IterationRecord]] | None = None
-    any_progress = False
-    total_iterations = 0
-    for start in starts:
-        if isinstance(start, Mapping):
-            start = [start[name] for name in spec.parameter_names]
-        x0 = np.asarray(start, dtype=float)
-        if method == "lm":
-            try:
-                x, iters, converged, log = levenberg_marquardt(
-                    fun, x0, max_iterations=max_iterations, bounds=bounds
-                )
-                any_progress = True
-            except NoProgress:
-                x, iters, converged, log = x0, max_iterations, False, []
-        else:
-            res = optimize.minimize(
-                lambda v: float(fun(v) @ fun(v)),
-                x0,
-                method="Nelder-Mead",
-                options={"maxiter": max_iterations * 4, "xatol": 1e-14, "fatol": 1e-24},
-            )
-            x, iters, converged, log = res.x, res.nit, bool(res.success), []
-            any_progress = any_progress or res.nit > 0
-        total_iterations += iters
-        r = fun(x)
-        value = float(r @ r)
-        if best is None or value < best[0]:
-            best = (value, x, iters, converged, log)
-    value, x, iters, converged, log = best
+        x, iters, converged, log = _fit_velocity(
+            spec, params, starts, seed, method, max_iterations
+        )
     named = dict(zip(spec.parameter_names, (float(v) for v in x)))
     final_value = objective(named, spec, params)
     profile_grid = np.linspace(0.0, 1.0, 101)
@@ -413,7 +423,60 @@ def fit(
         parameters=named,
         objective_value=final_value,
         iterations=iters,
-        converged=converged and any_progress,
+        converged=converged,
         residual_profile=tuple(float(v) for v in profile),
         iteration_log=tuple(log),
     )
+
+
+def _fit_velocity(
+    spec: ObjectiveSpec,
+    params: FlowParams,
+    starts: Sequence[Sequence[float] | Mapping[str, float]] | None,
+    seed: int,
+    method: str,
+    max_iterations: int,
+) -> tuple[np.ndarray, int, bool, list[IterationRecord]]:
+    """Best of the multi-start minimizations in z, mapped back to C."""
+    if starts is None:
+        starts = default_starts(spec, seed=seed)
+    if not starts:
+        raise ValueError("at least one start is required")
+    fun = _velocity_residual_from_basis(spec, params)
+    lead = _lead_index(spec)
+
+    best: tuple[float, np.ndarray, int, bool, list[IterationRecord]] | None = None
+    any_progress = False
+    for start in starts:
+        if isinstance(start, Mapping):
+            start = [start[name] for name in spec.parameter_names]
+        c0 = np.asarray(start, dtype=float)
+        z0 = c0[lead] * c0
+        z0[lead] = c0[lead]
+        if method == "lm":
+            try:
+                z, iters, converged, log = levenberg_marquardt(
+                    fun, z0, max_iterations=max_iterations
+                )
+                any_progress = True
+            except NoProgress:
+                z, iters, converged, log = z0, max_iterations, False, []
+        else:
+            from scipy import optimize  # only this path needs scipy
+
+            res = optimize.minimize(
+                lambda v: float(fun(v) @ fun(v)),
+                z0,
+                method="Nelder-Mead",
+                options={"maxiter": max_iterations * 4, "xatol": 1e-14, "fatol": 1e-24},
+            )
+            z, iters, converged, log = res.x, res.nit, bool(res.success), []
+            any_progress = any_progress or res.nit > 0
+        r = fun(z)
+        value = float(r @ r)
+        if best is None or value < best[0]:
+            best = (value, z, iters, converged, log)
+    _, z, iters, converged, log = best
+    c = z / z[lead] if z[lead] != 0.0 else np.zeros_like(z)
+    c[lead] = z[lead]
+    return c, iters, converged and any_progress, log

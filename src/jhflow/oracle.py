@@ -41,6 +41,7 @@ DEFAULT_STEP = 1e-4
 SHOOTING_BRACKET = (-30.0, 0.0)
 TERMINAL_TOLERANCE = 1e-12
 _MAX_SHOTS = 100
+_MAX_STEPS = 10**6
 
 
 class OracleError(RuntimeError):
@@ -137,8 +138,17 @@ def rk4_step(state, eta: float, h: float, derivs: Callable) -> np.ndarray:
 
 
 def _check_step(h: float) -> int:
+    """Number of steps of size h across [0, 1], checked before any allocation.
+
+    h must be finite, lie in (0, 0.5], divide [0, 1] evenly and give at most
+    10**6 steps.
+    """
+    if not (math.isfinite(h) and 0.0 < h <= 0.5):
+        raise ValueError(f"step must be finite and in (0, 0.5], got h = {h}")
+    if h * _MAX_STEPS < 1.0 - 1e-9:
+        raise ValueError(f"step must give at most {_MAX_STEPS} steps, got h = {h}")
     n = round(1.0 / h)
-    if n < 2 or abs(n * h - 1.0) > 1e-9:
+    if abs(n * h - 1.0) > 1e-9:
         raise ValueError(f"step must divide [0, 1] evenly, got h = {h}")
     return n
 

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from jhflow.cases import case_to_dict, get_case
+import jhflow
+from jhflow.cases import CASE_IDS, case_to_dict, get_case
 from jhflow.cli import (
     EXIT_INVALID,
     EXIT_MISSING,
@@ -15,7 +19,7 @@ from jhflow.cli import (
     main,
     parse_table_range,
 )
-from jhflow.oracle import ShootingDiverged
+from jhflow.oracle import ShootingDiverged, shoot_velocity
 from jhflow.polyalg import LaurentPoly
 
 
@@ -203,6 +207,66 @@ def test_fit_velocity_only(tmp_path, capsys):
     assert record["converged"] is True
     assert record["maxGridErrorVsOracle"] <= 1e-5
     assert set(record["parameters"]) == {"C1", "C2", "C3", "C4", "C5", "C6", "C7"}
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_fit_both_problems_converge(case_id, tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys,
+        "fit", "--case", case_id, "--problem", "both",
+        "--h", "1e-3", "--out", str(tmp_path),
+    )
+    assert code == EXIT_OK, err
+    manifest = json.loads(out)
+    for problem in ("velocity", "thermal"):
+        record = json.loads(Path(manifest["files"][problem]).read_text())
+        assert record["converged"] is True, problem
+
+
+def test_fit_shoots_velocity_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return shoot_velocity(*args, **kwargs)
+
+    monkeypatch.setattr("jhflow.cli.shoot_velocity", counted)
+    code, _, _ = run_cli(
+        capsys,
+        "fit", "--case", "5.7", "--problem", "both",
+        "--h", "1e-3", "--out", str(tmp_path),
+    )
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("step", ["0", "nan", "inf", "-1e-3", "1e-8", "0.3", "abc"])
+def test_bad_step_exits_2_before_any_shot(step, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("shot with an invalid step")
+
+    monkeypatch.setattr("jhflow.cli.shoot_velocity", never)
+    for argv in (["--h", step], [f"--h={step}"]):
+        code, out, err = run_cli(
+            capsys, "oracle", "--case", "5.1", *argv, "--out", str(tmp_path)
+        )
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["exitCode"] == EXIT_INVALID
+    if step == "1e-8":
+        assert "at most 1000000 steps" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize backs only the Nelder-Mead cross-check; loading it on
+    # every command would cost about half a second.
+    code = "import sys, jhflow.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(jhflow.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 # -- reproduce-tables -----------------------------------------------------------------

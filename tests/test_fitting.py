@@ -21,7 +21,7 @@ from jhflow.fitting import (
     uniform_collocation,
     velocity_objective_spec,
 )
-from jhflow.model import FlowParams
+from jhflow.model import THERMAL_MODES, THERMAL_PARAM_NAMES, FlowParams, thermal_solution
 
 CASE52 = get_case("5.2")
 
@@ -148,7 +148,8 @@ def test_objective_zero_beta_thermal_vanishes_at_zero_parameters():
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_basis_velocity_residual_matches_residual_vector(case_id):
     # fit minimizes the velocity residual sampled from a precomputed stage
-    # basis; it must be the residual_vector objective, not an approximation.
+    # basis in z = (C1, C1*C2, ..., C1*C7); it must be the residual_vector
+    # objective, not an approximation.
     params = get_case(case_id).params
     spec = velocity_objective_spec(params)
     basis = _velocity_residual_from_basis(spec, params)
@@ -156,8 +157,47 @@ def test_basis_velocity_residual_matches_residual_vector(case_id):
     points = default_starts(spec, seed=0)
     points += [rng.uniform(-1.0, 1.0, size=7) * s for s in (1e-2, 1e-1, 1.0)]
     for x in points:
+        z = x[0] * x
+        z[0] = x[0]
         reference = residual_vector(x, spec, params)
-        assert np.max(np.abs(basis(x) - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert np.max(np.abs(basis(z) - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("mode", THERMAL_MODES)
+def test_thermal_solution_is_affine_in_parameters(mode):
+    # The thermal fit is one linear solve because theta is exactly
+    # u0 + C8*a + sum_j Cj*b_j; check that against thermal_solution.
+    params = CASE52.params
+    names = THERMAL_PARAM_NAMES
+
+    def theta(values):
+        return thermal_solution(params, dict(zip(names, values)), mode=mode).assembled
+
+    u0 = theta(np.zeros(6))
+    a = theta(np.eye(6)[0]) - u0
+    b = [theta(np.eye(6)[0] + np.eye(6)[j]) - u0 - a for j in range(1, 6)]
+    rng = np.random.default_rng(5)
+    eta = np.linspace(0.0, 1.0, 41)
+    for _ in range(5):
+        c = rng.uniform(-1.0, 1.0, size=6) * 10.0 ** rng.uniform(-3, 3, size=6)
+        series = u0 + c[0] * a
+        for cj, bj in zip(c[1:], b):
+            series = series + cj * bj
+        want = theta(c).evaluate(eta)
+        assert np.max(np.abs(series.evaluate(eta) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mode", THERMAL_MODES)
+def test_thermal_fit_is_a_minimum(mode):
+    params = CASE52.params
+    spec = thermal_objective_spec(params, mode=mode)
+    result = fit(spec, params)
+    assert result.converged and result.iterations == 0 and result.iteration_log == ()
+    best = result.objective_value
+    for name, value in result.parameters.items():
+        for sign in (1.0, -1.0):
+            moved = {**result.parameters, name: value * (1.0 + sign * 1e-6)}
+            assert objective(moved, spec, params) >= best, f"{name} {sign:+}"
 
 
 # -- levenberg_marquardt -------------------------------------------------------------

@@ -10,6 +10,7 @@ from jhflow.oracle import (
     DEFAULT_STEP,
     OracleSolution,
     ShootingDiverged,
+    _check_step,
     fit_polynomial,
     rk4_step,
     shoot_thermal,
@@ -100,6 +101,21 @@ def test_step_must_divide_unit_interval():
         shoot_velocity(CASE51, h=3e-4)
     with pytest.raises(ValueError):
         velocity_terminal(CASE51, -4.0, h=0.7)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, 0.6, 1e-8, 5e-324])
+def test_invalid_step_rejected_before_integrating(h, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated with an invalid step")
+
+    monkeypatch.setattr("jhflow.oracle._integrate_velocity", never)
+    with pytest.raises(ValueError):
+        shoot_velocity(CASE51, h=h)
+
+
+def test_step_bounds_are_inclusive():
+    assert _check_step(0.5) == 2
+    assert _check_step(1e-6) == 10**6
 
 
 # -- thermal superposition --------------------------------------------------------
