@@ -2,9 +2,12 @@
 #
 # The centerline curvature F''(0) is unknown, so the solver brackets it,
 # runs secant steps with bisection fallback, and accepts once the wall
-# value |F(1)| drops below 1e-12.  Halving the step should shrink the
-# error about sixteen-fold for a fourth-order scheme; the Richardson
-# ratio below checks that without knowing the exact solution.
+# value |F(1)| drops below 1e-12.  The secant first converges on a grid
+# ten times coarser, where a trial costs a tenth and keeps only F(1); its
+# root and slope then seed the full-grid secant, which needs one or two
+# trials and returns the accepted trial's rows.  Halving the step should
+# shrink the error about sixteen-fold for a fourth-order scheme; the
+# Richardson ratio below checks that without knowing the exact solution.
 
 import numpy as np
 
@@ -29,8 +32,10 @@ f3 = velocity_terminal(params, s, h=2.5e-4)
 print("Richardson ratio:", (f1 - f2) / (f2 - f3), "(sixteen for fourth order)")
 
 # The temperature rides on the frozen velocity profile.  Its equation is
-# linear, so two trial integrations plus superposition pin the center
-# value; a third run verifies the wall condition.
+# linear, so one pass integrates a particular solution (theta(0) = 0) and
+# a homogeneous one (theta(0) = 1, no source) side by side; the
+# combination that vanishes at the wall pins the center value, and the
+# wall value of the combined column is checked against 1e-12.
 th = shoot_thermal(params, sol, h=1e-3)
 print("theta(0) =", th.at(0.0, "theta"))
 print("theta(1) =", th.at(1.0, "theta"))

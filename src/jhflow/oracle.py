@@ -2,12 +2,14 @@
 
 The velocity problem is integrated as a first-order system in
 (F, F', F'') with the missing curvature F''(0) found by a bracketed
-secant iteration on the terminal value F(1).  The temperature problem is
-linear in theta, so it is solved by superposing two trial integrations of
-the coupled five-state system and taking the affine combination that
-meets theta(1) = 0 exactly; a final integration re-verifies the terminal
-value.  Nothing here shares code with the staged-homotopy solver, so the
-two routes check each other.
+secant iteration on the terminal value F(1).  The iteration first runs on
+a grid ten times coarser, where each trial keeps only F(1); its root and
+last secant slope seed the same iteration on the full grid, which then
+needs one or two trials, and the accepted trial's rows are the solution.
+The temperature problem is linear in theta, so one pass integrates F
+together with a particular and a homogeneous temperature solution, and
+their combination that meets theta(1) = 0 is exact.  Nothing here shares
+code with the staged-homotopy solver, so the two routes check each other.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class ShootingDiverged(OracleError):
 
 
 class DegenerateHomogeneous(OracleError):
-    """The two thermal trials cannot be combined: their difference vanishes."""
+    """The homogeneous temperature vanishes at the wall, so no combination meets it."""
 
 
 class _BlowUp(Exception):
@@ -153,39 +155,72 @@ def _check_step(h: float) -> int:
     return n
 
 
-def _integrate_velocity(A: float, B: float, s: float, n: int) -> np.ndarray:
-    """Dense (F, F', F'') rows from F(0)=1, F'(0)=0, F''(0)=s; scalar RK4."""
+def _integrate_velocity(A: float, B: float, s: float, n: int, dense: bool = False):
+    """F(1) after n scalar RK4 steps from F(0)=1, F'(0)=0, F''(0)=s.
+
+    With dense=True the (n + 1, 3) rows of (F, F', F'') come back instead.
+    A trial whose |F| or |F''| passes _BLOWUP_LIMIT raises _BlowUp.
+    """
     h = 1.0 / n
-    out = np.empty((n + 1, 3))
+    h2, h6 = h / 2, h / 6
     f0, f1, f2 = 1.0, 0.0, s
-    out[0] = (f0, f1, f2)
-    for i in range(n):
-        # k-stages of the autonomous system (F' , F'' , -A F F' - B F').
-        a1, b1, c1 = f1, f2, -A * f0 * f1 - B * f1
-        y0, y1, y2 = f0 + h / 2 * a1, f1 + h / 2 * b1, f2 + h / 2 * c1
+    out = np.empty((n + 1, 3)) if dense else None
+    if dense:
+        out[0] = (f0, f1, f2)
+    for i in range(1, n + 1):
+        # Stages of the autonomous system (F', F'', -A F F' - B F'): the
+        # first two components of a stage are F' and F'' of the state it
+        # is taken at, so only the third needs computing.
+        c1 = -A * f0 * f1 - B * f1
+        y0, y1, y2 = f0 + h2 * f1, f1 + h2 * f2, f2 + h2 * c1
         a2, b2, c2 = y1, y2, -A * y0 * y1 - B * y1
-        y0, y1, y2 = f0 + h / 2 * a2, f1 + h / 2 * b2, f2 + h / 2 * c2
+        y0, y1, y2 = f0 + h2 * a2, f1 + h2 * b2, f2 + h2 * c2
         a3, b3, c3 = y1, y2, -A * y0 * y1 - B * y1
         y0, y1, y2 = f0 + h * a3, f1 + h * b3, f2 + h * c3
-        a4, b4, c4 = y1, y2, -A * y0 * y1 - B * y1
-        f0 = f0 + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        f1 = f1 + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-        f2 = f2 + h / 6 * (c1 + 2 * c2 + 2 * c3 + c4)
-        if not -_BLOWUP_LIMIT < f0 < _BLOWUP_LIMIT or not -_BLOWUP_LIMIT < f2 < _BLOWUP_LIMIT:
+        c4 = -A * y0 * y1 - B * y1
+        f0 = f0 + h6 * (f1 + 2 * a2 + 2 * a3 + y1)
+        f1 = f1 + h6 * (f2 + 2 * b2 + 2 * b3 + y2)
+        f2 = f2 + h6 * (c1 + 2 * c2 + 2 * c3 + c4)
+        if not (-_BLOWUP_LIMIT < f0 < _BLOWUP_LIMIT and -_BLOWUP_LIMIT < f2 < _BLOWUP_LIMIT):
             raise _BlowUp(math.copysign(1.0, f0 if abs(f0) > 1.0 else f1))
-        out[i + 1] = (f0, f1, f2)
-    if not np.all(np.isfinite(out[-1])):
-        raise NonFiniteState("velocity state became non-finite")
-    return out
+        if dense:
+            out[i] = (f0, f1, f2)
+    return out if dense else float(f0)
 
 
 def velocity_terminal(params: FlowParams, s: float, h: float = 1e-3) -> float:
     """F(1) for a fixed initial curvature s; used for step-size studies."""
     n = _check_step(h)
     try:
-        return float(_integrate_velocity(params.A, params.B, s, n)[-1, 0])
+        return _integrate_velocity(params.A, params.B, s, n)
     except _BlowUp:
         raise NonFiniteState("velocity state became non-finite") from None
+
+
+def _secant(
+    terminal: Callable, lo: float, hi: float, sign_lo: float, s: float, f: float, slope: float
+) -> tuple[float, float]:
+    """Bracketed secant on terminal(s) = 0 from the trial (s, f) and a slope.
+
+    Each trial replaces the end of [lo, hi] whose terminal sign it shares,
+    taking sign_lo as the sign at lo; a secant step that would leave the
+    bracket goes to its midpoint instead.  Returns the accepted root and
+    the last secant slope.
+    """
+    for _ in range(_MAX_SHOTS):
+        if abs(f) <= TERMINAL_TOLERANCE:
+            return s, slope
+        if f * sign_lo > 0.0:
+            lo = s
+        else:
+            hi = s
+        candidate = s - f / slope if slope != 0.0 else 0.5 * (lo + hi)
+        if not lo < candidate < hi:
+            candidate = 0.5 * (lo + hi)
+        f_candidate = terminal(candidate)
+        slope = (f_candidate - f) / (candidate - s)
+        s, f = candidate, f_candidate
+    raise ShootingDiverged(f"no convergence after {_MAX_SHOTS} shots; |F(1)| = {abs(f):.3e}")
 
 
 def shoot_velocity(
@@ -195,70 +230,60 @@ def shoot_velocity(
 ) -> OracleSolution:
     """Solve the velocity problem, finding F''(0) by secant with bisection.
 
-    The iteration keeps a sign-changing bracket for the terminal value
-    F(1); secant steps that leave the bracket fall back to its midpoint.
+    A bracketed secant on the terminal value F(1) first runs on a coarse
+    grid of max(1, n // 10) steps, where each trial computes F(1) only.
+    Its root and last secant slope seed the same secant on the n-step
+    grid, which keeps the bisection fallback inside the original bracket
+    and stores the rows of every trial, so the accepted trial's rows are
+    the returned solution.  Typically one or two fine trials are needed.
     """
     n = _check_step(h)
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
     A, B = params.A, params.B
 
-    def terminal(s: float) -> float:
+    def coarse(s: float) -> float:
         # A diverging trial still tells the bracket which side it is on.
         try:
-            return float(_integrate_velocity(A, B, s, n)[-1, 0])
+            return _integrate_velocity(A, B, s, max(1, n // 10))
         except _BlowUp as blowup:
             return blowup.sign * _BLOWUP_LIMIT
 
-    lo, hi = float(bracket[0]), float(bracket[1])
-    f_lo, f_hi = terminal(lo), terminal(hi)
-    if f_lo == 0.0:
-        best, f_best = lo, f_lo
-    elif f_hi == 0.0:
-        best, f_best = hi, f_hi
-    elif f_lo * f_hi > 0.0:
-        raise ShootingDiverged(
-            f"terminal value does not change sign over {bracket}"
-        )
-    else:
-        s_prev, f_prev = lo, f_lo
-        best, f_best = hi, f_hi
-        for _ in range(_MAX_SHOTS):
-            if abs(f_best) <= TERMINAL_TOLERANCE:
-                break
-            denom = f_best - f_prev
-            if denom != 0.0:
-                candidate = best - f_best * (best - s_prev) / denom
-            else:
-                candidate = 0.5 * (lo + hi)
-            if not lo < candidate < hi:
-                candidate = 0.5 * (lo + hi)
-            f_candidate = terminal(candidate)
-            if f_candidate * f_lo > 0.0:
-                lo, f_lo = candidate, f_candidate
-            else:
-                hi, f_hi = candidate, f_candidate
-            s_prev, f_prev = best, f_best
-            best, f_best = candidate, f_candidate
-        else:
-            raise ShootingDiverged(
-                f"no convergence after {_MAX_SHOTS} shots; |F(1)| = {abs(f_best):.3e}"
-            )
-    if abs(f_best) > TERMINAL_TOLERANCE:
-        raise ShootingDiverged(f"terminal miss {abs(f_best):.3e} above tolerance")
-    try:
-        values = _integrate_velocity(A, B, best, n)
-    except _BlowUp:
-        raise NonFiniteState("velocity state became non-finite") from None
+    rows = None
+
+    def fine(s: float) -> float:
+        nonlocal rows
+        try:
+            rows = _integrate_velocity(A, B, s, n, dense=True)
+        except _BlowUp as blowup:
+            return blowup.sign * _BLOWUP_LIMIT
+        return float(rows[-1, 0])
+
+    f_lo, f_hi = coarse(lo), coarse(hi)
+    if f_lo * f_hi > 0.0:
+        raise ShootingDiverged(f"terminal value does not change sign over {bracket}")
+    sign_lo = math.copysign(1.0, f_lo) if f_lo else -math.copysign(1.0, f_hi)
+    s, f = (lo, f_lo) if f_lo == 0.0 else (hi, f_hi)
+    s, slope = _secant(coarse, lo, hi, sign_lo, s, f, (f_hi - f_lo) / (hi - lo))
+    s, _ = _secant(fine, lo, hi, sign_lo, s, fine(s), slope)
     return OracleSolution(
         grid=np.arange(n + 1) / n,
-        values=values,
+        values=rows,
         columns=("F", "dF", "d2F"),
-        shooting_parameter=best,
-        terminal_miss=abs(f_best),
+        shooting_parameter=s,
+        terminal_miss=abs(float(rows[-1, 0])),
     )
 
 
-def _integrate_coupled(params: FlowParams, s: float, t0: float, n: int) -> np.ndarray:
-    """Dense (F, F', F'', theta, theta') rows with theta'(0) = 0."""
+def _integrate_thermal(params: FlowParams, s: float, n: int) -> np.ndarray:
+    """Dense (theta_p, theta_p', theta_h, theta_h') rows in one 7-state pass.
+
+    F is integrated alongside from F''(0) = s.  theta_p starts at
+    theta_p(0) = 0 and carries the dissipation source; theta_h starts at
+    theta_h(0) = 1 and solves the homogeneous equation.  Both start with
+    zero slope.
+    """
     A, B = params.A, params.B
     a, re, h_mag, pr, beta = params.alpha, params.Re, params.H, params.Pr, params.beta
     q0 = 4.0 * a * a
@@ -266,32 +291,40 @@ def _integrate_coupled(params: FlowParams, s: float, t0: float, n: int) -> np.nd
     d0 = beta * pr * (h_mag + q0)
     d1 = beta * pr
     h = 1.0 / n
-    out = np.empty((n + 1, 5))
-    f0, f1, f2, t, u = 1.0, 0.0, s, t0, 0.0
-    out[0] = (f0, f1, f2, t, u)
-    for i in range(n):
-        a1, b1, c1 = f1, f2, -A * f0 * f1 - B * f1
-        p1, q1 = u, -(q0 + qc * f0) * t - (d0 * f0 * f0 + d1 * f1 * f1)
-        y0, y1, y2 = f0 + h / 2 * a1, f1 + h / 2 * b1, f2 + h / 2 * c1
-        w, v = t + h / 2 * p1, u + h / 2 * q1
+    h2, h6 = h / 2, h / 6
+    out = np.empty((n + 1, 4))
+    f0, f1, f2, p, dp, g, dg = 1.0, 0.0, s, 0.0, 0.0, 1.0, 0.0
+    out[0] = (p, dp, g, dg)
+    for i in range(1, n + 1):
+        # Each stage: velocity (F', F'', -A F F' - B F'), then for both
+        # temperatures theta'' = m theta (- source for theta_p), with
+        # m = -(4 alpha^2 + 2 alpha Re Pr F).
+        m = -(q0 + qc * f0)
+        c1 = -A * f0 * f1 - B * f1
+        r1, k1 = m * p - (d0 * f0 * f0 + d1 * f1 * f1), m * g
+        y0, y1, y2 = f0 + h2 * f1, f1 + h2 * f2, f2 + h2 * c1
+        w, v, x, z = p + h2 * dp, dp + h2 * r1, g + h2 * dg, dg + h2 * k1
         a2, b2, c2 = y1, y2, -A * y0 * y1 - B * y1
-        p2, q2 = v, -(q0 + qc * y0) * w - (d0 * y0 * y0 + d1 * y1 * y1)
-        y0, y1, y2 = f0 + h / 2 * a2, f1 + h / 2 * b2, f2 + h / 2 * c2
-        w, v = t + h / 2 * p2, u + h / 2 * q2
+        m = -(q0 + qc * y0)
+        pa2, r2, ga2, k2 = v, m * w - (d0 * y0 * y0 + d1 * y1 * y1), z, m * x
+        y0, y1, y2 = f0 + h2 * a2, f1 + h2 * b2, f2 + h2 * c2
+        w, v, x, z = p + h2 * pa2, dp + h2 * r2, g + h2 * ga2, dg + h2 * k2
         a3, b3, c3 = y1, y2, -A * y0 * y1 - B * y1
-        p3, q3 = v, -(q0 + qc * y0) * w - (d0 * y0 * y0 + d1 * y1 * y1)
+        m = -(q0 + qc * y0)
+        pa3, r3, ga3, k3 = v, m * w - (d0 * y0 * y0 + d1 * y1 * y1), z, m * x
         y0, y1, y2 = f0 + h * a3, f1 + h * b3, f2 + h * c3
-        w, v = t + h * p3, u + h * q3
-        a4, b4, c4 = y1, y2, -A * y0 * y1 - B * y1
-        p4, q4 = v, -(q0 + qc * y0) * w - (d0 * y0 * y0 + d1 * y1 * y1)
-        f0 = f0 + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        f1 = f1 + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-        f2 = f2 + h / 6 * (c1 + 2 * c2 + 2 * c3 + c4)
-        t = t + h / 6 * (p1 + 2 * p2 + 2 * p3 + p4)
-        u = u + h / 6 * (q1 + 2 * q2 + 2 * q3 + q4)
-        out[i + 1] = (f0, f1, f2, t, u)
-    if not np.all(np.isfinite(out[-1])):
-        raise NonFiniteState("coupled state became non-finite")
+        w, v, x, z = p + h * pa3, dp + h * r3, g + h * ga3, dg + h * k3
+        c4 = -A * y0 * y1 - B * y1
+        m = -(q0 + qc * y0)
+        r4, k4 = m * w - (d0 * y0 * y0 + d1 * y1 * y1), m * x
+        f0 = f0 + h6 * (f1 + 2 * a2 + 2 * a3 + y1)
+        f1 = f1 + h6 * (f2 + 2 * b2 + 2 * b3 + y2)
+        f2 = f2 + h6 * (c1 + 2 * c2 + 2 * c3 + c4)
+        p = p + h6 * (dp + 2 * pa2 + 2 * pa3 + v)
+        dp = dp + h6 * (r1 + 2 * r2 + 2 * r3 + r4)
+        g = g + h6 * (dg + 2 * ga2 + 2 * ga3 + z)
+        dg = dg + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[i] = (p, dp, g, dg)
     return out
 
 
@@ -300,36 +333,35 @@ def shoot_thermal(
 ) -> OracleSolution:
     """Solve the temperature problem against a converged velocity solution.
 
-    theta enters its equation affinely, so two trials with theta(0) = 0
-    and theta(0) = 1 span all solutions with theta'(0) = 0; the affine
-    combination meeting theta(1) = 0 is exact.  One extra integration from
-    the combined initial value re-verifies the terminal miss.
+    theta enters its equation affinely, so one pass integrates F together
+    with a particular solution theta_p (theta_p(0) = 0) and a homogeneous
+    solution theta_h (theta_h(0) = 1, no source), both with zero slope.
+    theta = theta_p + c theta_h with c = -theta_p(1) / theta_h(1) meets
+    theta(1) = 0 exactly; the combined column's terminal value is then
+    checked against TERMINAL_TOLERANCE.
     """
     n = _check_step(h)
     if len(F.grid) != n + 1:
         raise ValueError("velocity solution was computed on a different grid")
-    s = F.shooting_parameter
-
-    trial0 = _integrate_coupled(params, s, 0.0, n)
-    trial1 = _integrate_coupled(params, s, 1.0, n)
-    end0, end1 = trial0[-1, 3], trial1[-1, 3]
-    denom = end0 - end1
-    scale = max(abs(end0), abs(end1), 1.0)
-    if abs(denom) <= 1e-15 * scale:
+    rows = _integrate_thermal(params, F.shooting_parameter, n)
+    end_p, end_h = rows[-1, 0], rows[-1, 2]
+    scale = max(abs(end_p), abs(end_p + end_h), 1.0)
+    if abs(end_h) <= 1e-15 * scale:
         raise DegenerateHomogeneous(
-            "trial temperatures coincide at eta = 1; cannot superpose"
+            "homogeneous temperature vanishes at eta = 1; cannot superpose"
         )
-    c = end0 / denom
-
-    verified = _integrate_coupled(params, s, c, n)
-    miss = abs(verified[-1, 3])
+    c = -end_p / end_h
+    values = rows[:, 0:2] + c * rows[:, 2:4]
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteState("temperature state became non-finite")
+    miss = abs(float(values[-1, 0]))
     if miss > TERMINAL_TOLERANCE:
         raise ShootingDiverged(f"thermal terminal miss {miss:.3e} above tolerance")
     return OracleSolution(
         grid=np.arange(n + 1) / n,
-        values=verified[:, 3:5],
+        values=values,
         columns=("theta", "dtheta"),
-        shooting_parameter=c,
+        shooting_parameter=float(c),
         terminal_miss=miss,
     )
 

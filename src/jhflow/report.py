@@ -8,10 +8,11 @@ CSV and full round-trip precision in JSON.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -240,12 +241,24 @@ def run_case(
     return manifest
 
 
-def regenerate_table(number: int, h: float = 1e-4) -> dict:
-    """Own oracle plus bundled-polynomial evaluation next to the digitized table."""
+def _shoot_case_velocity(case_id: str, h: float) -> OracleSolution:
+    """A fresh velocity shot for a bundled case."""
+    return shoot_velocity(case_data.get_case(case_id).params, h=h)
+
+
+def regenerate_table(
+    number: int,
+    h: float = 1e-4,
+    velocity: Callable[[str, float], OracleSolution] = _shoot_case_velocity,
+) -> dict:
+    """Own oracle plus bundled-polynomial evaluation next to the digitized table.
+
+    velocity(case_id, h) supplies the case's velocity shot.
+    """
     problem, payload = table_data.get_table(number)
     case_id = payload["case"]
     case = case_data.get_case(case_id)
-    vel_oracle = shoot_velocity(case.params, h=h)
+    vel_oracle = velocity(case_id, h)
     if problem == "velocity":
         oracle = vel_oracle
         series = case_data.paper_solution_velocity(case_id)
@@ -316,15 +329,22 @@ def write_table_csv(path, regen: dict) -> None:
 
 
 def reproduce_tables(numbers: Sequence[int], out_dir, h: float = 1e-4) -> dict:
-    """Regenerate the requested tables and write per-table files plus findings."""
+    """Regenerate the requested tables and write per-table files plus findings.
+
+    Each case's velocity is shot once per step and shared by its velocity
+    table, its temperature table and the findings.  File paths in the
+    summary are relative to out_dir, so reproductions into different
+    directories write identical summary.json files.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    velocity = functools.lru_cache(maxsize=None)(_shoot_case_velocity)
     summary = {"tables": [], "files": {}}
     for number in numbers:
-        regen = regenerate_table(number, h=h)
-        path = out / f"table_{number:02d}.csv"
-        write_table_csv(path, regen)
-        summary["files"][str(number)] = str(path)
+        regen = regenerate_table(number, h=h, velocity=velocity)
+        name = f"table_{number:02d}.csv"
+        write_table_csv(out / name, regen)
+        summary["files"][str(number)] = name
         summary["tables"].append(
             {
                 "table": number,
@@ -335,21 +355,21 @@ def reproduce_tables(numbers: Sequence[int], out_dir, h: float = 1e-4) -> dict:
                 "flaggedEntries": regen["flaggedEntries"],
             }
         )
-    findings = collect_findings()
-    findings_path = out / "findings.json"
-    write_json(findings_path, {"findings": findings})
-    summary["files"]["findings"] = str(findings_path)
-    summary_path = out / "summary.json"
-    write_json(summary_path, summary)
-    summary["files"]["summary"] = str(summary_path)
+    write_json(out / "findings.json", {"findings": collect_findings(velocity)})
+    summary["files"]["findings"] = "findings.json"
+    write_json(out / "summary.json", summary)
+    summary["files"]["summary"] = "summary.json"
     return summary
 
 
-def collect_findings() -> list[dict]:
+def collect_findings(
+    velocity: Callable[[str, float], OracleSolution] = _shoot_case_velocity,
+) -> list[dict]:
     """Internal inconsistencies of the published derivation, with evidence.
 
     Each entry states what disagrees with what, plus numbers computed fresh
-    from this library at the bundled cases.
+    from this library at the bundled cases; velocity(case_id, h) supplies
+    the velocity shots.
     """
     findings = []
     p51 = case_data.get_case("5.1").params
@@ -563,7 +583,7 @@ def collect_findings() -> list[dict]:
     rows_scale = []
     for cid in case_data.CASE_IDS:
         case = case_data.get_case(cid)
-        vel = shoot_velocity(case.params, h=1e-3)
+        vel = velocity(cid, 1e-3)
         th = shoot_thermal(case.params, vel, h=1e-3)
         _, th_no = table_data.tables_for_case(cid)
         _, payload = table_data.get_table(th_no)

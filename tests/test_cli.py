@@ -301,6 +301,40 @@ def test_reproduce_tables_subset(tmp_path, capsys):
         assert finding["evidence"], f"finding {finding['id']} lacks evidence"
 
 
+@pytest.mark.parametrize("step, shots", [("1e-4", 16), ("1e-3", 8)])
+def test_reproduce_tables_shoots_each_velocity_once_per_step(
+    step, shots, tmp_path, capsys, monkeypatch
+):
+    # The 16 tables cover 8 cases, each with a velocity and a temperature
+    # table; the findings shoot the same 8 cases at h = 1e-3.
+    calls = []
+
+    def counted(params, h):
+        calls.append((params, h))
+        return shoot_velocity(params, h=h)
+
+    monkeypatch.setattr("jhflow.report.shoot_velocity", counted)
+    code, _, err = run_cli(
+        capsys, "reproduce-tables", "--tables", "1-16", "--h", step, "--out", str(tmp_path)
+    )
+    assert code == EXIT_OK, err
+    assert len(calls) == len(set(calls)) == shots
+
+
+def test_reproduce_tables_summary_independent_of_out_dir(tmp_path, capsys):
+    summaries = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        code, _, err = run_cli(
+            capsys, "reproduce-tables", "--tables", "1,2", "--h", "1e-2", "--out", str(out)
+        )
+        assert code == EXIT_OK, err
+        summaries.append((out / "summary.json").read_bytes())
+        for path in json.loads(summaries[-1])["files"].values():
+            assert (out / path).is_file()
+    assert summaries[0] == summaries[1]
+
+
 def test_reproduce_tables_empty_selection(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "reproduce-tables", "--tables", "", "--out", str(tmp_path)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from jhflow import oracle
+from jhflow.cases import CASE_IDS, get_case
 from jhflow.model import FlowParams
 from jhflow.oracle import (
     DEFAULT_STEP,
@@ -91,9 +93,52 @@ def test_velocity_terminal_matches_shot():
     )
 
 
+# F''(0) of the eight bundled cases at h = 1e-4, as computed by shooting
+# with the full-grid secant alone.
+PINNED_CURVATURE = {
+    "5.1": -4.621705831227583,
+    "5.2": -3.2766892031204713,
+    "5.3": -2.344963913013516,
+    "5.4": -1.2436274335936468,
+    "5.5": -3.5394156290204175,
+    "5.6": -3.0222269990961856,
+    "5.7": -2.5884480715407663,
+    "5.8": -1.9163527804478069,
+}
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_velocity_shooting_parameter_pinned(case_id):
+    sol = shoot_velocity(get_case(case_id).params, h=1e-4)
+    assert sol.shooting_parameter == pytest.approx(PINNED_CURVATURE[case_id], rel=1e-10)
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4])
+def test_velocity_shot_integrates_full_grid_at_most_three_times(h, monkeypatch):
+    # The secant runs on the coarse grid first, so the full grid only
+    # refines its root.
+    n = round(1.0 / h)
+    full = []
+    kernel = oracle._integrate_velocity
+
+    def counted(A, B, s, steps, *args, **kwargs):
+        if steps == n:
+            full.append(s)
+        return kernel(A, B, s, steps, *args, **kwargs)
+
+    monkeypatch.setattr("jhflow.oracle._integrate_velocity", counted)
+    for case_id in CASE_IDS:
+        full.clear()
+        sol = shoot_velocity(get_case(case_id).params, h=h)
+        assert 1 <= len(full) <= 3, case_id
+        assert full[-1] == sol.shooting_parameter
+
+
 def test_bad_bracket_raises():
     with pytest.raises(ShootingDiverged):
         shoot_velocity(CASE51, h=1e-2, bracket=(-30.0, -29.0))
+    with pytest.raises(ValueError):
+        shoot_velocity(CASE51, h=1e-2, bracket=(0.0, -30.0))
 
 
 def test_step_must_divide_unit_interval():
@@ -105,12 +150,19 @@ def test_step_must_divide_unit_interval():
 
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, 0.6, 1e-8, 5e-324])
 def test_invalid_step_rejected_before_integrating(h, monkeypatch):
+    F = shoot_velocity(CASE51, h=1e-2)
+
     def never(*args, **kwargs):
         raise AssertionError("integrated with an invalid step")
 
     monkeypatch.setattr("jhflow.oracle._integrate_velocity", never)
+    monkeypatch.setattr("jhflow.oracle._integrate_thermal", never)
     with pytest.raises(ValueError):
         shoot_velocity(CASE51, h=h)
+    with pytest.raises(ValueError):
+        velocity_terminal(CASE51, -4.0, h=h)
+    with pytest.raises(ValueError):
+        shoot_thermal(CASE51, F, h=h)
 
 
 def test_step_bounds_are_inclusive():
@@ -145,6 +197,39 @@ def test_thermal_linear_in_beta():
     t2 = shoot_thermal(double, F, h=1e-3)
     for eta in (0.0, 0.4, 0.8):
         assert t2.at(eta) == pytest.approx(2.0 * t1.at(eta), rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_thermal_superposition_matches_direct_integration(case_id):
+    # The one-pass superposition against the coupled five-state system
+    # (F, F', F'', theta, theta') stepped by rk4_step from theta(0) = c.
+    params = get_case(case_id).params
+    h = 1e-3
+    F = shoot_velocity(params, h=h)
+    theta = shoot_thermal(params, F, h=h)
+    A, B = params.A, params.B
+    a, re, pr = params.alpha, params.Re, params.Pr
+    d0 = params.beta * pr * (params.H + 4.0 * a * a)
+    d1 = params.beta * pr
+
+    def derivs(eta, y):
+        f0, f1, f2, t, u = y
+        return (
+            f1,
+            f2,
+            -A * f0 * f1 - B * f1,
+            u,
+            -(4.0 * a * a + 2.0 * a * re * pr * f0) * t - (d0 * f0 * f0 + d1 * f1 * f1),
+        )
+
+    y = np.array([1.0, 0.0, F.shooting_parameter, theta.shooting_parameter, 0.0])
+    direct = [y[3]]
+    for i in range(1000):
+        y = rk4_step(y, i * h, h, derivs)
+        direct.append(y[3])
+    scale = np.max(np.abs(theta.values[:, 0]))
+    assert np.max(np.abs(np.array(direct) - theta.values[:, 0])) <= 1e-12 * scale
+    assert abs(direct[-1]) <= 1e-12 * scale
 
 
 def test_thermal_grid_mismatch_rejected():
