@@ -32,10 +32,12 @@ f3 = velocity_terminal(params, s, h=2.5e-4)
 print("Richardson ratio:", (f1 - f2) / (f2 - f3), "(sixteen for fourth order)")
 
 # The temperature rides on the frozen velocity profile.  Its equation is
-# linear, so one pass integrates a particular solution (theta(0) = 0) and
-# a homogeneous one (theta(0) = 1, no source) side by side; the
-# combination that vanishes at the wall pins the center value, and the
-# wall value of the combined column is checked against 1e-12.
+# linear, so every RK4 step is an affine map of (theta, theta') built from
+# the velocity rows, and a prefix scan of those maps gives a particular
+# solution (theta(0) = 0) and a homogeneous one (theta(0) = 1, no source)
+# without integrating the velocity again; the combination that vanishes
+# at the wall pins the center value, and the wall value of the combined
+# column is checked against 1e-12.
 th = shoot_thermal(params, sol, h=1e-3)
 print("theta(0) =", th.at(0.0, "theta"))
 print("theta(1) =", th.at(1.0, "theta"))

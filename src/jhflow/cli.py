@@ -27,6 +27,7 @@ from pathlib import Path
 
 from . import cases as case_data
 from . import report
+from . import tables as table_data
 from .engine import EngineError, SingularBoundarySystem
 from .fitting import (
     NoProgress,
@@ -72,7 +73,11 @@ def _emit_error(code: int, kind: str, message: str) -> int:
 
 
 def parse_table_range(text: str) -> list[int]:
-    """\"1-4,9\" -> [1, 2, 3, 4, 9]; an empty string selects nothing."""
+    """\"1-4,9\" -> [1, 2, 3, 4, 9]; an empty string selects nothing.
+
+    A range with an end outside the bundled tables raises MissingTableData
+    before it is expanded.
+    """
     numbers: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -83,10 +88,25 @@ def parse_table_range(text: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError(f"empty table range {chunk!r}")
+            # The bundled tables are numbered without gaps, so checking
+            # both ends checks the whole range.
+            for end in (lo, hi):
+                table_data.get_table(end)
             numbers.extend(range(lo, hi + 1))
         else:
             numbers.append(int(chunk))
     return numbers
+
+
+def _out_dir(path: str) -> Path:
+    """Create the --out directory; a path that cannot be one exits 2."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        message = f"--out {path!r} is not a usable directory: {exc.strerror}"
+        raise CliError(EXIT_INVALID, message) from None
+    return out
 
 
 def _load_case(ref: str, mode: str | None) -> case_data.CaseDefinition:
@@ -108,7 +128,7 @@ def _cmd_run_case(args) -> int:
     case = _load_case(args.case, args.mode)
     manifest = report.run_case(
         case,
-        args.out,
+        _out_dir(args.out),
         use_paper_params=args.paper_params,
         h=args.h,
         seed=args.seed,
@@ -119,8 +139,7 @@ def _cmd_run_case(args) -> int:
 
 def _cmd_fit(args) -> int:
     case = _load_case(args.case, args.mode)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     params = case.params
     records = {}
     vel_spec = velocity_objective_spec(params, quadrature=args.quadrature)
@@ -164,8 +183,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_oracle(args) -> int:
     case = _load_case(args.case, args.mode)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     vel = shoot_velocity(case.params, h=args.h)
     th = shoot_thermal(case.params, vel, h=args.h)
     manifest = {"case": case.id, "files": {}, "shootingParameter": vel.shooting_parameter}
@@ -179,7 +197,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_reproduce_tables(args) -> int:
     numbers = parse_table_range(args.tables)
-    summary = report.reproduce_tables(numbers, args.out, h=args.h)
+    summary = report.reproduce_tables(numbers, _out_dir(args.out), h=args.h)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -189,9 +207,8 @@ def _cmd_sweep(args) -> int:
     hs = [float(v) for v in args.hs.split(",") if v.strip()]
     if not alphas or not hs:
         raise CliError(EXIT_INVALID, "sweep needs at least one alpha and one H")
+    out = _out_dir(args.out)
     rows = report.sweep(alphas, hs, h=args.h)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
     report.write_sweep_csv(path, rows)
     n_failed = len({(r["alpha"], r["H"]) for r in rows if r["error"]})
@@ -202,6 +219,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_export_plot_data(args) -> int:
     case = _load_case(args.case, args.mode)
+    out = _out_dir(args.out)
     if args.paper_params:
         if case.paper_F is None or case.paper_theta is None:
             raise report.MissingPublishedSolution(
@@ -222,8 +240,6 @@ def _cmd_export_plot_data(args) -> int:
         ).assembled
     vel = shoot_velocity(case.params, h=args.h)
     th = shoot_thermal(case.params, vel, h=args.h)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {"case": case.id, "files": {}}
     for problem, series, oracle in (
         ("velocity", F_series, vel),

@@ -6,10 +6,13 @@ secant iteration on the terminal value F(1).  The iteration first runs on
 a grid ten times coarser, where each trial keeps only F(1); its root and
 last secant slope seed the same iteration on the full grid, which then
 needs one or two trials, and the accepted trial's rows are the solution.
-The temperature problem is linear in theta, so one pass integrates F
-together with a particular and a homogeneous temperature solution, and
-their combination that meets theta(1) = 0 is exact.  Nothing here shares
-code with the staged-homotopy solver, so the two routes check each other.
+The temperature problem is linear in theta, so it is solved from the
+velocity rows without integrating F again: F and F' at every RK4 stage
+point are rebuilt from the rows, each step becomes an affine map of
+(theta, theta'), and a prefix scan of the maps gives a particular and a
+homogeneous temperature solution at once.  Their combination that meets
+theta(1) = 0 is exact.  Nothing here shares code with the staged-homotopy
+solver, so the two routes check each other.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .polyalg import LaurentPoly
 
 __all__ = [
     "OracleSolution",
-    "rk4_step",
     "shoot_velocity",
     "shoot_thermal",
     "fit_polynomial",
@@ -124,19 +126,6 @@ class OracleSolution:
             lines.append(",".join(f"{v:.17g}" for v in (eta, *row)))
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
-
-
-def rk4_step(state, eta: float, h: float, derivs: Callable) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta update of a state vector."""
-    y = np.asarray(state, dtype=float)
-    k1 = np.asarray(derivs(eta, y))
-    k2 = np.asarray(derivs(eta + h / 2, y + h / 2 * k1))
-    k3 = np.asarray(derivs(eta + h / 2, y + h / 2 * k2))
-    k4 = np.asarray(derivs(eta + h, y + h * k3))
-    out = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteState(f"state became non-finite near eta = {eta}")
-    return out
 
 
 def _check_step(h: float) -> int:
@@ -276,13 +265,61 @@ def shoot_velocity(
     )
 
 
-def _integrate_thermal(params: FlowParams, s: float, n: int) -> np.ndarray:
-    """Dense (theta_p, theta_p', theta_h, theta_h') rows in one 7-state pass.
+def _rk4_theta(p, dp, m, source, h: float):
+    """One RK4 step of theta'' = m theta - source from (p, dp), elementwise.
 
-    F is integrated alongside from F''(0) = s.  theta_p starts at
-    theta_p(0) = 0 and carries the dissipation source; theta_h starts at
-    theta_h(0) = 1 and solves the homogeneous equation.  Both start with
-    zero slope.
+    m and source hold the four stage values of each step.  The stage sums
+    are accumulated in the order (k1 + 2 k2) + 2 k3 + k4, as written out
+    in the velocity step, so at most one stage is alive at a time.
+    """
+    h2, h6 = h / 2, h / 6
+    r = m[0] * p - source[0]
+    v, sum_v, sum_r = dp, dp, r
+    for k, (c, weight) in enumerate(((h2, 2), (h2, 2), (h, 1)), start=1):
+        w, v = p + c * v, dp + c * r
+        r = m[k] * w - source[k]
+        sum_v, sum_r = sum_v + weight * v, sum_r + weight * r
+    return p + h6 * sum_v, dp + h6 * sum_r
+
+
+def _compose_prefix(maps: np.ndarray) -> np.ndarray:
+    """Inclusive prefix composition of affine maps y -> M y + g on R^2.
+
+    maps has rows (M00, M01, M10, M11, g0, g1) and one column per map.
+    Column k of the result is map k applied after maps 0..k-1.  Each of
+    the log2(n) doubling passes composes column k with column k - d; the
+    2x2 products are spelled out elementwise, so the result does not
+    depend on a BLAS or its threading.  maps is overwritten.
+    """
+    n = maps.shape[1]
+    src, dst = maps, np.empty_like(maps)
+    tmp = np.empty(n)
+    d = 1
+    while d < n:
+        dst[:, :d] = src[:, :d]
+        t = tmp[: n - d]
+        for i in (0, 1):
+            # Row i of the later map times a column of the earlier one,
+            # whose two entries sit in rows j and k; for the offset (rows
+            # 4 and 5) the later map's own offset is added.
+            for row, (j, k) in zip((2 * i, 2 * i + 1, 4 + i), ((0, 2), (1, 3), (4, 5))):
+                out = dst[row, d:]
+                np.multiply(src[2 * i, d:], src[j, :-d], out=out)
+                np.multiply(src[2 * i + 1, d:], src[k, :-d], out=t)
+                np.add(out, t, out=out)
+                if row >= 4:
+                    np.add(out, src[row, d:], out=out)
+        src, dst = dst, src
+        d *= 2
+    return src
+
+
+def _stage_coefficients(params: FlowParams, velocity: np.ndarray):
+    """m and source of theta'' = m theta - source at each step's RK4 stages.
+
+    velocity holds the (n + 1, 3) rows (F, F', F'') of a converged shot;
+    F and F' at the stage points are rebuilt from them with the operations
+    of _integrate_velocity.  Returns two lists of four length-n arrays.
     """
     A, B = params.A, params.B
     a, re, h_mag, pr, beta = params.alpha, params.Re, params.H, params.Pr, params.beta
@@ -290,42 +327,44 @@ def _integrate_thermal(params: FlowParams, s: float, n: int) -> np.ndarray:
     qc = 2.0 * a * re * pr
     d0 = beta * pr * (h_mag + q0)
     d1 = beta * pr
+    h = 1.0 / (len(velocity) - 1)
+    h2 = h / 2
+    f0, f1, f2 = velocity[:-1, 0], velocity[:-1, 1], velocity[:-1, 2]
+    y0, y1 = f0 + h2 * f1, f1 + h2 * f2
+    b2 = f2 + h2 * (-A * f0 * f1 - B * f1)
+    b3 = f2 + h2 * (-A * y0 * y1 - B * y1)
+    z0, z1 = f0 + h2 * y1, f1 + h2 * b2
+    stages = ((f0, f1), (y0, y1), (z0, z1), (f0 + h * z1, f1 + h * b3))
+    m = [-(q0 + qc * s0) for s0, _ in stages]
+    source = [d0 * s0 * s0 + d1 * s1 * s1 for s0, s1 in stages]
+    return m, source
+
+
+def _thermal_rows(params: FlowParams, velocity: np.ndarray) -> np.ndarray:
+    """Dense (theta_p, theta_p', theta_h, theta_h') rows from velocity rows.
+
+    Each step is an affine map y -> M y + g of (theta, theta'): M is the
+    step applied to (1, 0) and (0, 1) without the dissipation source, g
+    the step applied to (0, 0) with it.  theta_p (theta_p(0) = 0, with the
+    source) is the cumulative offset of the maps and theta_h
+    (theta_h(0) = 1, no source) the first column of their cumulative
+    matrix; both start with zero slope.
+    """
+    n = len(velocity) - 1
     h = 1.0 / n
-    h2, h6 = h / 2, h / 6
-    out = np.empty((n + 1, 4))
-    f0, f1, f2, p, dp, g, dg = 1.0, 0.0, s, 0.0, 0.0, 1.0, 0.0
-    out[0] = (p, dp, g, dg)
-    for i in range(1, n + 1):
-        # Each stage: velocity (F', F'', -A F F' - B F'), then for both
-        # temperatures theta'' = m theta (- source for theta_p), with
-        # m = -(4 alpha^2 + 2 alpha Re Pr F).
-        m = -(q0 + qc * f0)
-        c1 = -A * f0 * f1 - B * f1
-        r1, k1 = m * p - (d0 * f0 * f0 + d1 * f1 * f1), m * g
-        y0, y1, y2 = f0 + h2 * f1, f1 + h2 * f2, f2 + h2 * c1
-        w, v, x, z = p + h2 * dp, dp + h2 * r1, g + h2 * dg, dg + h2 * k1
-        a2, b2, c2 = y1, y2, -A * y0 * y1 - B * y1
-        m = -(q0 + qc * y0)
-        pa2, r2, ga2, k2 = v, m * w - (d0 * y0 * y0 + d1 * y1 * y1), z, m * x
-        y0, y1, y2 = f0 + h2 * a2, f1 + h2 * b2, f2 + h2 * c2
-        w, v, x, z = p + h2 * pa2, dp + h2 * r2, g + h2 * ga2, dg + h2 * k2
-        a3, b3, c3 = y1, y2, -A * y0 * y1 - B * y1
-        m = -(q0 + qc * y0)
-        pa3, r3, ga3, k3 = v, m * w - (d0 * y0 * y0 + d1 * y1 * y1), z, m * x
-        y0, y1, y2 = f0 + h * a3, f1 + h * b3, f2 + h * c3
-        w, v, x, z = p + h * pa3, dp + h * r3, g + h * ga3, dg + h * k3
-        c4 = -A * y0 * y1 - B * y1
-        m = -(q0 + qc * y0)
-        r4, k4 = m * w - (d0 * y0 * y0 + d1 * y1 * y1), m * x
-        f0 = f0 + h6 * (f1 + 2 * a2 + 2 * a3 + y1)
-        f1 = f1 + h6 * (f2 + 2 * b2 + 2 * b3 + y2)
-        f2 = f2 + h6 * (c1 + 2 * c2 + 2 * c3 + c4)
-        p = p + h6 * (dp + 2 * pa2 + 2 * pa3 + v)
-        dp = dp + h6 * (r1 + 2 * r2 + 2 * r3 + r4)
-        g = g + h6 * (dg + 2 * ga2 + 2 * ga3 + z)
-        dg = dg + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i] = (p, dp, g, dg)
-    return out
+    m, source = _stage_coefficients(params, velocity)
+    no_source = (0.0, 0.0, 0.0, 0.0)
+    maps = np.empty((6, n))
+    maps[0], maps[2] = _rk4_theta(1.0, 0.0, m, no_source, h)
+    maps[1], maps[3] = _rk4_theta(0.0, 1.0, m, no_source, h)
+    maps[4], maps[5] = _rk4_theta(0.0, 0.0, m, source, h)
+    del m, source  # freed before the scan takes its second buffer
+    cumulative = _compose_prefix(maps)
+    rows = np.empty((n + 1, 4))
+    rows[0] = (0.0, 0.0, 1.0, 0.0)
+    for column, row in enumerate((4, 5, 0, 2)):
+        rows[1:, column] = cumulative[row]
+    return rows
 
 
 def shoot_thermal(
@@ -333,17 +372,26 @@ def shoot_thermal(
 ) -> OracleSolution:
     """Solve the temperature problem against a converged velocity solution.
 
-    theta enters its equation affinely, so one pass integrates F together
-    with a particular solution theta_p (theta_p(0) = 0) and a homogeneous
-    solution theta_h (theta_h(0) = 1, no source), both with zero slope.
+    theta enters its equation affinely, so it is solved from the rows of F
+    without integrating the velocity again: each RK4 step is an affine map
+    of (theta, theta'), and a prefix scan of those maps gives a particular
+    solution theta_p (theta_p(0) = 0) and a homogeneous solution theta_h
+    (theta_h(0) = 1, no source), both with zero slope.
     theta = theta_p + c theta_h with c = -theta_p(1) / theta_h(1) meets
     theta(1) = 0 exactly; the combined column's terminal value is then
-    checked against TERMINAL_TOLERANCE.
+    checked against TERMINAL_TOLERANCE.  F must hold the (F, F', F'') rows
+    of shoot_velocity on the same grid.
     """
     n = _check_step(h)
     if len(F.grid) != n + 1:
         raise ValueError("velocity solution was computed on a different grid")
-    rows = _integrate_thermal(params, F.shooting_parameter, n)
+    if F.columns != ("F", "dF", "d2F"):
+        raise ValueError(f"expected velocity columns (F, dF, d2F), got {F.columns}")
+    if not np.all(np.isfinite(F.values)):
+        raise NonFiniteState("velocity solution is not finite")
+    # An overflow surfaces in the NonFiniteState check on the returned column.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _thermal_rows(params, F.values)
     end_p, end_h = rows[-1, 0], rows[-1, 2]
     scale = max(abs(end_p), abs(end_p + end_h), 1.0)
     if abs(end_h) <= 1e-15 * scale:

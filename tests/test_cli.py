@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,48 @@ def test_parse_table_range():
         parse_table_range("4-1")
     with pytest.raises(ValueError):
         parse_table_range("one")
+
+
+def test_table_range_bounded_before_expanding(tmp_path, capsys):
+    # Expanding this range would take tens of megabytes before the first
+    # lookup failed.
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "reproduce-tables", "--tables", "1-2000000", "--out", str(tmp_path)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_MISSING
+    assert out == ""
+    assert "no bundled table numbered 2000000" in json.loads(err)["error"]["message"]
+    assert peak < 1_000_000
+
+
+SUBCOMMAND_ARGS = {
+    "run-case": ["--case", "5.1", "--paper-params"],
+    "fit": ["--case", "5.1"],
+    "oracle": ["--case", "5.1"],
+    "reproduce-tables": ["--tables", "1"],
+    "sweep": ["--alphas", "0.1", "--hs", "0"],
+    "export-plot-data": ["--case", "5.1", "--paper-params"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_out_naming_a_file_exits_2(command, tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep\n")
+    code, out, err = run_cli(
+        capsys, command, *SUBCOMMAND_ARGS[command], "--h", "1e-2", "--out", str(target)
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["exitCode"] == EXIT_INVALID
+    assert target.read_text() == "keep\n"
 
 
 # -- run-case ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Reference-solution checks: RK4 accuracy, shooting, superposition, interpolation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,11 @@ from jhflow.cases import CASE_IDS, get_case
 from jhflow.model import FlowParams
 from jhflow.oracle import (
     DEFAULT_STEP,
+    NonFiniteState,
     OracleSolution,
     ShootingDiverged,
     _check_step,
     fit_polynomial,
-    rk4_step,
     shoot_thermal,
     shoot_velocity,
     velocity_terminal,
@@ -23,7 +24,20 @@ from jhflow.oracle import (
 CASE51 = FlowParams(alpha=math.pi / 24, Re=50.0, H=0.0, Pr=1.0, beta=3.492161428e-13)
 
 
-# -- rk4_step -----------------------------------------------------------------
+# -- rk4_step: the independent integrator the oracle is checked against ---------
+
+
+def rk4_step(state, eta: float, h: float, derivs) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta update of a state vector."""
+    y = np.asarray(state, dtype=float)
+    k1 = np.asarray(derivs(eta, y))
+    k2 = np.asarray(derivs(eta + h / 2, y + h / 2 * k1))
+    k3 = np.asarray(derivs(eta + h / 2, y + h / 2 * k2))
+    k4 = np.asarray(derivs(eta + h, y + h * k3))
+    out = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteState(f"state became non-finite near eta = {eta}")
+    return out
 
 
 def test_rk4_single_step_exponential():
@@ -47,8 +61,6 @@ def test_rk4_is_fourth_order():
 
 
 def test_rk4_rejects_non_finite():
-    from jhflow.oracle import NonFiniteState
-
     with pytest.raises(NonFiniteState):
         rk4_step(np.array([1.0]), 0.0, 1.0, lambda x, y: np.array([math.inf]))
 
@@ -156,7 +168,7 @@ def test_invalid_step_rejected_before_integrating(h, monkeypatch):
         raise AssertionError("integrated with an invalid step")
 
     monkeypatch.setattr("jhflow.oracle._integrate_velocity", never)
-    monkeypatch.setattr("jhflow.oracle._integrate_thermal", never)
+    monkeypatch.setattr("jhflow.oracle._thermal_rows", never)
     with pytest.raises(ValueError):
         shoot_velocity(CASE51, h=h)
     with pytest.raises(ValueError):
@@ -199,12 +211,10 @@ def test_thermal_linear_in_beta():
         assert t2.at(eta) == pytest.approx(2.0 * t1.at(eta), rel=1e-9, abs=1e-300)
 
 
-@pytest.mark.parametrize("case_id", CASE_IDS)
-def test_thermal_superposition_matches_direct_integration(case_id):
-    # The one-pass superposition against the coupled five-state system
+def _check_against_direct_integration(case_id, h):
+    # The scanned superposition against the coupled five-state system
     # (F, F', F'', theta, theta') stepped by rk4_step from theta(0) = c.
     params = get_case(case_id).params
-    h = 1e-3
     F = shoot_velocity(params, h=h)
     theta = shoot_thermal(params, F, h=h)
     A, B = params.A, params.B
@@ -224,12 +234,67 @@ def test_thermal_superposition_matches_direct_integration(case_id):
 
     y = np.array([1.0, 0.0, F.shooting_parameter, theta.shooting_parameter, 0.0])
     direct = [y[3]]
-    for i in range(1000):
+    for i in range(len(F.grid) - 1):
         y = rk4_step(y, i * h, h, derivs)
         direct.append(y[3])
     scale = np.max(np.abs(theta.values[:, 0]))
     assert np.max(np.abs(np.array(direct) - theta.values[:, 0])) <= 1e-12 * scale
     assert abs(direct[-1]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_thermal_superposition_matches_direct_integration(case_id):
+    _check_against_direct_integration(case_id, 1e-3)
+
+
+def test_thermal_superposition_matches_direct_integration_at_default_step():
+    _check_against_direct_integration("5.6", DEFAULT_STEP)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])
+def test_prefix_composition_matches_sequential(n):
+    # Maps near the identity, so a thousand of them stay of order one.
+    rng = np.random.default_rng(n)
+    maps = np.empty((6, n))
+    maps[:4] = np.array([1.0, 0.0, 0.0, 1.0])[:, None] + 0.01 * rng.standard_normal((4, n))
+    maps[4:] = 0.01 * rng.standard_normal((2, n))
+    expected = np.empty((6, n))
+    M, g = np.eye(2), np.zeros(2)
+    for k in range(n):
+        step = maps[:4, k].reshape(2, 2)
+        M, g = step @ M, step @ g + maps[4:, k]
+        expected[:4, k], expected[4:, k] = M.ravel(), g
+    got = oracle._compose_prefix(maps.copy())
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_thermal_reads_velocity_rows_without_integrating(monkeypatch):
+    F = shoot_velocity(CASE51, h=1e-3)
+    expected = shoot_thermal(CASE51, F, h=1e-3)
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrated the velocity again")
+
+    monkeypatch.setattr("jhflow.oracle._integrate_velocity", never)
+    theta = shoot_thermal(CASE51, F, h=1e-3)
+    assert np.array_equal(theta.values, expected.values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("row", [500, 1000])
+def test_thermal_rejects_non_finite_velocity(bad, row):
+    F = shoot_velocity(CASE51, h=1e-3)
+    values = F.values.copy()
+    values[row, 1] = bad
+    with pytest.raises(NonFiniteState):
+        shoot_thermal(CASE51, dataclasses.replace(F, values=values), h=1e-3)
+
+
+def test_thermal_rejects_solution_without_velocity_columns():
+    F = shoot_velocity(CASE51, h=1e-3)
+    theta = shoot_thermal(CASE51, F, h=1e-3)
+    with pytest.raises(ValueError):
+        shoot_thermal(CASE51, theta, h=1e-3)
 
 
 def test_thermal_grid_mismatch_rejected():
