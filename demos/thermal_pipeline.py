@@ -24,12 +24,12 @@ case = get_case("5.2")
 params = case.params
 
 vel_spec = velocity_objective_spec(params)
-vel_fit = fit(vel_spec, params, seed=0)
+vel_fit = fit(vel_spec, params)
 F = velocity_solution(params, vel_fit.parameters).assembled
 print("velocity objective: %.3e" % vel_fit.objective_value)
 
 th_spec = thermal_objective_spec(params, mode=case.mode, velocity_polynomial=F)
-th_fit = fit(th_spec, params, seed=0)
+th_fit = fit(th_spec, params)
 theta = thermal_solution(params, th_fit.parameters, mode=case.mode).assembled
 print("thermal objective: %.3e" % th_fit.objective_value)
 

@@ -29,12 +29,7 @@ from . import cases as case_data
 from . import report
 from . import tables as table_data
 from .engine import EngineError, SingularBoundarySystem
-from .fitting import (
-    NoProgress,
-    fit,
-    thermal_objective_spec,
-    velocity_objective_spec,
-)
+from .fitting import fit, thermal_objective_spec, velocity_objective_spec
 from .model import (
     MODE_PAPER,
     MODE_SCALE_CONSISTENT,
@@ -131,7 +126,6 @@ def _cmd_run_case(args) -> int:
         _out_dir(args.out),
         use_paper_params=args.paper_params,
         h=args.h,
-        seed=args.seed,
     )
     print(json.dumps(manifest, indent=2, sort_keys=True))
     return EXIT_OK
@@ -143,7 +137,7 @@ def _cmd_fit(args) -> int:
     params = case.params
     records = {}
     vel_spec = velocity_objective_spec(params, quadrature=args.quadrature)
-    vel_fit = fit(vel_spec, params, seed=args.seed)
+    vel_fit = fit(vel_spec, params)
     F_series = velocity_solution(params, vel_fit.parameters).assembled
     if args.problem in ("velocity", "both"):
         records["velocity"] = vel_fit
@@ -154,7 +148,7 @@ def _cmd_fit(args) -> int:
             velocity_polynomial=F_series,
             quadrature=args.quadrature,
         )
-        records["thermal"] = fit(th_spec, params, seed=args.seed)
+        records["thermal"] = fit(th_spec, params)
     manifest = {"case": case.id, "files": {}}
     failed = []
     vel = shoot_velocity(params, h=args.h)
@@ -229,12 +223,12 @@ def _cmd_export_plot_data(args) -> int:
         theta_series = case.paper_theta
     else:
         vel_spec = velocity_objective_spec(case.params)
-        vel_fit = fit(vel_spec, case.params, seed=args.seed)
+        vel_fit = fit(vel_spec, case.params)
         F_series = velocity_solution(case.params, vel_fit.parameters).assembled
         th_spec = thermal_objective_spec(
             case.params, mode=case.mode, velocity_polynomial=F_series
         )
-        th_fit = fit(th_spec, case.params, seed=args.seed)
+        th_fit = fit(th_spec, case.params)
         theta_series = thermal_solution(
             case.params, th_fit.parameters, mode=case.mode
         ).assembled
@@ -272,7 +266,12 @@ def _add_common(parser: argparse.ArgumentParser, with_case: bool = True) -> None
             help="thermal decomposition (default: the case file's choice)",
         )
     parser.add_argument("--h", type=float, default=DEFAULT_STEP, help="oracle step size")
-    parser.add_argument("--seed", type=int, default=0, help="seed for fit multi-starts")
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="accepted for compatibility; fits are deterministic and ignore it",
+    )
     parser.add_argument("--out", required=True, help="output directory")
 
 
@@ -339,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         return _emit_error(exc.code, type(exc).__name__, str(exc))
     except (LookupError, FileNotFoundError) as exc:
         return _emit_error(EXIT_MISSING, type(exc).__name__, str(exc))
-    except (OracleError, NoProgress) as exc:
+    except OracleError as exc:
         return _emit_error(EXIT_NUMERICAL, type(exc).__name__, str(exc))
     except SingularBoundarySystem as exc:
         return _emit_error(EXIT_NUMERICAL, type(exc).__name__, str(exc))

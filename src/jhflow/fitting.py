@@ -10,9 +10,11 @@ the identification uses that structure:
   so the thermal defect is affine in C8..C13 and one linear least-squares
   solve gives the exact minimizer.
 - F = u0 + z1*a + sum_k zk*b_k in the products z = (C1, C1*C2, ..., C1*C7),
-  so the velocity defect is quadratic in z.  A hand-rolled
-  Levenberg-Marquardt iteration minimizes it over z from several starts;
-  a derivative-free simplex fallback is available for cross-checking.
+  so the velocity defect is quadratic in z and its Jacobian is exact.  One
+  Levenberg-Marquardt run from z = 0 minimizes it, and it reports
+  converged only when MINPACK's scaled-gradient or relative-step test
+  passed (More, "The Levenberg-Marquardt algorithm: implementation and
+  theory", 1978).
 """
 
 from __future__ import annotations
@@ -36,15 +38,12 @@ from .model import (
 from .polyalg import LaurentPoly
 
 
-class NoProgress(RuntimeError):
-    """Raised internally when no damping value admits a single step."""
-
-
+# Tighter tests (1e-14 on the gradient, 1e-12 on the step) leave bundled
+# cases in a rounding stall short of both; re-measure before lowering them.
 _GRAD_TOLERANCE = 1e-10
-_DECREASE_TOLERANCE = 1e-12
-_DECREASE_WINDOW = 3
+_STEP_TOLERANCE = 1e-10
 _MAX_ITERATIONS = 500
-_JACOBIAN_STEP = 1e-7
+_MAX_DAMPING = 1e14
 
 
 def gauss_legendre_01(n: int = 30) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -204,13 +203,16 @@ def _stage_basis(spec: ObjectiveSpec, params: FlowParams) -> list[LaurentPoly]:
 
 def _velocity_residual_from_basis(
     spec: ObjectiveSpec, params: FlowParams
-) -> Callable[[np.ndarray], np.ndarray]:
-    """residual_vector of a velocity spec as a function of the products z.
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """residual_vector of a velocity spec and its Jacobian, as functions of z.
 
     z holds C1 in C1's slot and C1*Ck in the slot of every other Ck, so the
     series is u0 plus the stage-basis columns weighted by z.  F, F' and
     F''' of each column are sampled once at the nodes, so every evaluation
-    after that is three small matrix-vector products.
+    after that is a few small matrix products.  With c = (1, z) the
+    residual S*(F'''c + A*(Fc)*(F'c) + B*F'c) is quadratic in z, so its
+    Jacobian S*(F''' + A*(diag(F'c) F + diag(Fc) F') + B*F'), without the
+    column of the constant 1, is exact.
     """
     eta = np.asarray(spec.nodes)
     columns = _stage_basis(spec, params)
@@ -221,10 +223,12 @@ def _velocity_residual_from_basis(
     scale = np.sqrt(np.asarray(spec.weights)) / spec.normalization
     A, B = params.A, params.B
 
-    def fun(z: np.ndarray) -> np.ndarray:
+    def fun(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         coeffs = np.concatenate(([1.0], z))
         f, df = F @ coeffs, dF @ coeffs
-        return scale * (d3F @ coeffs + A * (f * df) + B * df)
+        r = scale * (d3F @ coeffs + A * (f * df) + B * df)
+        J = d3F + A * (df[:, None] * F + f[:, None] * dF) + B * dF
+        return r, scale[:, None] * J[:, 1:]
 
     return fun
 
@@ -273,7 +277,7 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one multi-start minimization."""
+    """Outcome of one minimization."""
 
     parameters: dict[str, float]
     objective_value: float
@@ -294,132 +298,94 @@ class FitResult:
 
 
 def levenberg_marquardt(
-    fun: Callable[[np.ndarray], np.ndarray],
+    fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: Sequence[float],
     max_iterations: int = _MAX_ITERATIONS,
-    bounds: Sequence[tuple[float, float]] | None = None,
 ) -> tuple[np.ndarray, int, bool, list[IterationRecord]]:
     """Damped Gauss-Newton on a residual vector with monotone acceptance.
 
-    Returns (x, iterations, converged, log).  Accepted steps never increase
-    the objective.  Convergence means either the gradient infinity-norm fell
-    under 1e-10 or the relative decrease stayed under 1e-12 across three
-    consecutive accepted steps.  Raises NoProgress if no step is ever
-    accepted within the iteration cap.
+    fun(x) returns the residual r and its Jacobian J.  Returns (x,
+    iterations, converged, log); accepted steps never increase the
+    objective r @ r.  converged is True exactly when one of two tests
+    passed: the scaled gradient max_j |J_j.r| / (|J_j| |r|) is at most
+    1e-10 (or r = 0), or an accepted step dx has |dx| <= 1e-10 |x|.  When
+    no damping value admits a step, or the iteration cap comes first, x is
+    the last accepted point and converged is False.
     """
     x = np.asarray(x0, dtype=float).copy()
-    r = fun(x)
+    r, J = fun(x)
     obj = float(r @ r)
     lam = 1e-3
     log: list[IterationRecord] = []
-    accepted_any = False
-    small_decreases = 0
     iteration = 0
-    while iteration < max_iterations:
+    while not _gradient_converged(r, J):
+        if iteration == max_iterations:
+            return x, iteration, False, log
         iteration += 1
-        J = _forward_jacobian(fun, x, r)
-        grad = 2.0 * J.T @ r
-        if np.max(np.abs(grad)) < _GRAD_TOLERANCE:
-            log.append(IterationRecord(iteration, obj, lam, True))
-            return x, iteration, True, log
-        JtJ = J.T @ J
+        JtJ, g = J.T @ J, J.T @ r
         scale = np.diag(JtJ).copy()
         scale[scale == 0.0] = 1.0
         accepted = False
-        for _ in range(40):
+        while not accepted and lam <= _MAX_DAMPING:
             try:
-                step = np.linalg.solve(JtJ + lam * np.diag(scale), -J.T @ r)
+                step = np.linalg.solve(JtJ + lam * np.diag(scale), -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             trial = x + step
-            if bounds is not None:
-                trial = np.clip(
-                    trial, [b[0] for b in bounds], [b[1] for b in bounds]
-                )
-            r_trial = fun(trial)
+            r_trial, J_trial = fun(trial)
             obj_trial = float(r_trial @ r_trial)
-            if np.isfinite(obj_trial) and obj_trial < obj:
-                decrease = (obj - obj_trial) / max(obj, 1e-300)
-                x, r, obj = trial, r_trial, obj_trial
+            accepted = bool(np.isfinite(obj_trial) and obj_trial < obj)
+            if accepted:
+                x, r, J, obj = trial, r_trial, J_trial, obj_trial
                 lam = max(lam * 0.3, 1e-12)
-                accepted = True
-                accepted_any = True
-                small_decreases = small_decreases + 1 if decrease < _DECREASE_TOLERANCE else 0
-                break
-            lam *= 10.0
-            if lam > 1e14:
-                break
+            else:
+                lam *= 10.0
         log.append(IterationRecord(iteration, obj, lam, accepted))
-        if accepted and small_decreases >= _DECREASE_WINDOW:
-            return x, iteration, True, log
         if not accepted:
-            if accepted_any:
-                return x, iteration, True, log
-            raise NoProgress("no damping value admitted a descent step")
-    # Cap reached while still descending: not converged by either test.
-    return x, iteration, False, log
+            return x, iteration, False, log
+        if np.linalg.norm(step) <= _STEP_TOLERANCE * np.linalg.norm(x):
+            return x, iteration, True, log
+    return x, iteration, True, log
 
 
-def _forward_jacobian(fun, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    J = np.empty((r0.size, x.size))
-    for j in range(x.size):
-        h = _JACOBIAN_STEP * max(1.0, abs(x[j]))
-        xs = x.copy()
-        xs[j] += h
-        J[:, j] = (fun(xs) - r0) / h
-    return J
+def _gradient_converged(r: np.ndarray, J: np.ndarray) -> bool:
+    """MINPACK's scaled-gradient test; a zero column of J never blocks it."""
+    r_norm = np.linalg.norm(r)
+    if r_norm == 0.0:
+        return True
+    col_norms = np.linalg.norm(J, axis=0)
+    live = col_norms > 0.0
+    cosines = np.abs(J.T @ r)[live] / (col_norms[live] * r_norm)
+    return bool(np.all(cosines <= _GRAD_TOLERANCE))
 
 
-def default_starts(
-    spec: ObjectiveSpec, seed: int = 0, count: int = 8
-) -> list[np.ndarray]:
-    """Zeros, a +/- nudge on the first parameter, and seeded random draws."""
-    k = len(spec.parameter_names)
-    starts = [np.zeros(k)]
-    nudge = np.zeros(k)
-    nudge[0] = 0.01
-    starts.append(nudge.copy())
-    starts.append(-nudge)
-    rng = np.random.default_rng(seed)
-    while len(starts) < count:
-        starts.append(rng.uniform(-1.0, 1.0, size=k) * 1e-2)
-    return starts[:count]
-
-
-def fit(
-    spec: ObjectiveSpec,
-    params: FlowParams,
-    starts: Sequence[Sequence[float] | Mapping[str, float]] | None = None,
-    seed: int = 0,
-    method: str = "lm",
-    max_iterations: int = _MAX_ITERATIONS,
-) -> FitResult:
-    """Minimizer of the objective: exact for a thermal spec, multi-start for velocity.
+def fit(spec: ObjectiveSpec, params: FlowParams) -> FitResult:
+    """Minimizer of the objective: exact for a thermal spec, one LM run for velocity.
 
     A thermal objective is minimized by one linear least-squares solve
-    (_thermal_least_squares).  It ignores starts, seed, method and
-    max_iterations, and reports converged=True after 0 iterations.
+    (_thermal_least_squares), which reports converged=True after 0
+    iterations.
 
-    A velocity objective is minimized in the products z of
-    _velocity_residual_from_basis from every start, and the best local
-    minimum wins.  Each start may be an ordered coefficient vector or a
-    mapping keyed by parameter name.  It is mapped to z1 = C1, zk = C1*Ck;
-    the winner is mapped back to C1 = z1, Ck = zk/z1, or to zeros when
-    z1 = 0.
+    A velocity objective is minimized by levenberg_marquardt from z = 0 in
+    the products z of _velocity_residual_from_basis, with the exact
+    Jacobian.  The result is mapped back to C1 = z1, Ck = zk/z1, or to
+    zeros when z1 = 0.  Both fits are deterministic.
 
     The returned objective value is recomputed from scratch through
-    objective at the winning parameters rather than reusing the
+    objective at the fitted parameters rather than reusing the
     optimizer's running value.
     """
-    if method not in ("lm", "nelder-mead"):
-        raise ValueError(f"unknown method {method!r}")
     if spec.problem == "thermal":
         x, iters, converged, log = _thermal_least_squares(spec, params), 0, True, []
     else:
-        x, iters, converged, log = _fit_velocity(
-            spec, params, starts, seed, method, max_iterations
+        lead = _lead_index(spec)
+        z, iters, converged, log = levenberg_marquardt(
+            _velocity_residual_from_basis(spec, params),
+            np.zeros(len(spec.parameter_names)),
         )
+        x = z / z[lead] if z[lead] != 0.0 else np.zeros_like(z)
+        x[lead] = z[lead]
     named = dict(zip(spec.parameter_names, (float(v) for v in x)))
     final_value = objective(named, spec, params)
     profile_grid = np.linspace(0.0, 1.0, 101)
@@ -433,56 +399,3 @@ def fit(
         residual_profile=tuple(float(v) for v in profile),
         iteration_log=tuple(log),
     )
-
-
-def _fit_velocity(
-    spec: ObjectiveSpec,
-    params: FlowParams,
-    starts: Sequence[Sequence[float] | Mapping[str, float]] | None,
-    seed: int,
-    method: str,
-    max_iterations: int,
-) -> tuple[np.ndarray, int, bool, list[IterationRecord]]:
-    """Best of the multi-start minimizations in z, mapped back to C."""
-    if starts is None:
-        starts = default_starts(spec, seed=seed)
-    if not starts:
-        raise ValueError("at least one start is required")
-    fun = _velocity_residual_from_basis(spec, params)
-    lead = _lead_index(spec)
-
-    best: tuple[float, np.ndarray, int, bool, list[IterationRecord]] | None = None
-    any_progress = False
-    for start in starts:
-        if isinstance(start, Mapping):
-            start = [start[name] for name in spec.parameter_names]
-        c0 = np.asarray(start, dtype=float)
-        z0 = c0[lead] * c0
-        z0[lead] = c0[lead]
-        if method == "lm":
-            try:
-                z, iters, converged, log = levenberg_marquardt(
-                    fun, z0, max_iterations=max_iterations
-                )
-                any_progress = True
-            except NoProgress:
-                z, iters, converged, log = z0, max_iterations, False, []
-        else:
-            from scipy import optimize  # only this path needs scipy
-
-            res = optimize.minimize(
-                lambda v: float(fun(v) @ fun(v)),
-                z0,
-                method="Nelder-Mead",
-                options={"maxiter": max_iterations * 4, "xatol": 1e-14, "fatol": 1e-24},
-            )
-            z, iters, converged, log = res.x, res.nit, bool(res.success), []
-            any_progress = any_progress or res.nit > 0
-        r = fun(z)
-        value = float(r @ r)
-        if best is None or value < best[0]:
-            best = (value, z, iters, converged, log)
-    _, z, iters, converged, log = best
-    c = z / z[lead] if z[lead] != 0.0 else np.zeros_like(z)
-    c[lead] = z[lead]
-    return c, iters, converged and any_progress, log

@@ -98,6 +98,9 @@ class FlowParams:
     beta: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "Re", "H", "Pr", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.alpha < math.pi / 2:
             raise ValidationError(f"alpha must lie in (0, pi/2), got {self.alpha}")
         if self.Re <= 0.0:
@@ -108,6 +111,8 @@ class FlowParams:
             raise ValidationError(f"Pr must be positive, got {self.Pr}")
         if self.beta < 0.0:
             raise ValidationError(f"beta must be nonnegative, got {self.beta}")
+        if self.A == 0.0:  # the velocity multipliers divide by 2A
+            raise ValidationError(f"2*alpha*Re underflows to 0 at alpha = {self.alpha}, Re = {self.Re}")
 
     @property
     def A(self) -> float:

@@ -1,6 +1,6 @@
 """Artifact generation: comparison tables, plot data, reproduction, sweeps.
 
-Everything here writes deterministic flat files: same inputs and seeds give
+Everything here writes deterministic flat files: the same inputs give
 byte-identical output.  Numbers are printed with 12 significant digits in
 CSV and full round-trip precision in JSON.
 """
@@ -167,8 +167,6 @@ def run_case(
     out_dir,
     use_paper_params: bool = False,
     h: float = 1e-4,
-    seed: int = 0,
-    quadrature: str = "gauss",
 ) -> dict:
     """Oracle, parameter identification (or plug-in), and artifact files.
 
@@ -197,16 +195,13 @@ def run_case(
         theta_series = case.paper_theta
         source = "published-solution"
     else:
-        vel_spec = velocity_objective_spec(params, quadrature=quadrature)
-        vel_fit = fit(vel_spec, params, seed=seed)
+        vel_spec = velocity_objective_spec(params)
+        vel_fit = fit(vel_spec, params)
         F_series = velocity_solution(params, vel_fit.parameters).assembled
         th_spec = thermal_objective_spec(
-            params,
-            mode=case.mode,
-            velocity_polynomial=F_series,
-            quadrature=quadrature,
+            params, mode=case.mode, velocity_polynomial=F_series
         )
-        th_fit = fit(th_spec, params, seed=seed)
+        th_fit = fit(th_spec, params)
         theta_series = thermal_solution(
             params, th_fit.parameters, mode=case.mode
         ).assembled

@@ -22,7 +22,7 @@ def velocity_fits():
         case = get_case(case_id)
         spec = velocity_objective_spec(case.params)
         started = time.perf_counter()
-        result = fit(spec, case.params, seed=0, method="lm")
+        result = fit(spec, case.params)
         out[case_id] = {
             "case": case,
             "spec": spec,
@@ -41,7 +41,7 @@ def thermal_fits(velocity_fits):
         profile = velocity_solution(case.params, entry["result"].parameters).assembled
         spec = thermal_objective_spec(case.params, velocity_polynomial=profile)
         started = time.perf_counter()
-        result = fit(spec, case.params, seed=0, method="lm")
+        result = fit(spec, case.params)
         theta = thermal_solution(case.params, result.parameters).assembled
         out[case_id] = {
             "case": case,

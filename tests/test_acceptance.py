@@ -25,7 +25,11 @@ from jhflow.cases import (
     paper_solution_theta,
     paper_solution_velocity,
 )
-from jhflow.fitting import levenberg_marquardt, residual_vector, velocity_objective_spec
+from jhflow.fitting import (
+    _velocity_residual_from_basis,
+    levenberg_marquardt,
+    velocity_objective_spec,
+)
 from jhflow.model import (
     MODE_PAPER,
     THERMAL_PARAM_NAMES,
@@ -389,7 +393,7 @@ def test_criterion_8_property_families(tmp_path, capsys):
     # Optimizer acceptance is monotone along its own log.
     spec = velocity_objective_spec(params51)
     _, _, _, log = levenberg_marquardt(
-        lambda x: residual_vector(x, spec, params51), [0.0] * 7, max_iterations=25
+        _velocity_residual_from_basis(spec, params51), [0.0] * 7, max_iterations=25
     )
     accepted = [rec.objective for rec in log if rec.accepted]
     if not accepted or any(b > a for a, b in zip(accepted, accepted[1:])):

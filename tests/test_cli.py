@@ -1,14 +1,20 @@
 """End-to-end command-line checks: artifacts, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import jhflow
 from jhflow.cases import CASE_IDS, case_to_dict, get_case
@@ -171,6 +177,25 @@ def test_run_case_byte_identical_reruns(tmp_path, capsys):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_run_case_seed_changes_nothing(tmp_path, capsys):
+    # --seed stays accepted for existing scripts, but the fit starts from
+    # one fixed point, so it cannot change any file.
+    manifests = []
+    for seed in ("1", "2"):
+        code, out, _ = run_cli(
+            capsys,
+            "run-case", "--case", "5.2", "--seed", seed,
+            "--h", "1e-3", "--out", str(tmp_path / seed),
+        )
+        assert code == EXIT_OK
+        manifests.append(json.loads(out))
+    names = sorted(Path(p).name for p in manifests[0]["files"].values())
+    assert names == sorted(Path(p).name for p in manifests[1]["files"].values())
+    assert "fit_velocity_5.2.json" in names
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_run_case_unknown_id_exits_2(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "run-case", "--case", "5.9", "--out", str(tmp_path)
@@ -302,14 +327,28 @@ def test_bad_step_exits_2_before_any_shot(step, tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize backs only the Nelder-Mead cross-check; loading it on
-    # every command would cost about half a second.
+    # scipy is not a runtime dependency; loading it on every command would
+    # cost about half a second.
     code = "import sys, jhflow.cli; print('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(jhflow.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+def test_cli_fit_leaves_scipy_unloaded(tmp_path):
+    # Nothing on the identification path may need scipy either.
+    code = (
+        "import sys, jhflow.cli\n"
+        f"status = jhflow.cli.main(['fit', '--case', '5.2', '--h', '1e-3', '--out', {str(tmp_path)!r}])\n"
+        "print(status, 'scipy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(jhflow.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 # -- reproduce-tables -----------------------------------------------------------------
@@ -476,3 +515,93 @@ def test_mode_override_round_trips_case_fields(tmp_path, capsys):
         "--paper-params", "--h", "1e-3", "--out", str(tmp_path / "out"),
     )
     assert code == EXIT_OK
+
+
+# -- every input ends in a documented exit code -----------------------------------------
+
+# Valid steps are drawn only from cheap ones; any other positive step below
+# 1e-3 could divide [0, 1] evenly and cost up to 10**6 steps.
+_VALID_STEPS = st.sampled_from(["1e-2", "2e-3", "1e-3"])
+_OTHER_STEPS = st.one_of(
+    st.floats().filter(lambda v: not (math.isfinite(v) and 0.0 < v < 1e-3)).map(repr),
+    st.text(max_size=6),
+)
+_ALPHAS = st.floats(-0.5, 2.0)
+_HS = st.floats(-100.0, 1e4)
+_JUNK = st.sampled_from(["nan", "inf", "-inf", "x", ""])
+
+
+def _number_lists(numbers):
+    return st.lists(st.one_of(numbers.map(repr), _JUNK), min_size=1, max_size=3).map(",".join)
+
+
+_CASE_REFS = st.sampled_from(list(CASE_IDS) + ["5.9", "6.1", "x", "", "missing.json"])
+# The text of a case file that the test writes: alpha, Re and H drawn across
+# and beyond their valid ranges, or text that is not a case at all.
+_CASE_FILES = st.one_of(
+    st.fixed_dictionaries(
+        {"id": st.just("generated"), "alpha": _ALPHAS, "Re": st.floats(-10.0, 400.0), "H": _HS}
+    ).map(json.dumps),
+    st.text(max_size=8),
+)
+_CASE_FILE_ARG = "{case file}"
+_TABLE_RANGES = st.lists(
+    st.one_of(
+        st.integers(-1, 20).map(str),
+        st.tuples(st.integers(-1, 20), st.integers(0, 2)).map(lambda t: f"{t[0]}-{t[0] + t[1]}"),
+        st.sampled_from(["", "x", "3-1", "1-", "-"]),
+    ),
+    max_size=2,
+).map(",".join)
+
+
+@st.composite
+def _cli_call(draw):
+    """(argv without --out, text of the case file that --case names, or None)."""
+    command = draw(
+        st.sampled_from(
+            ["run-case", "fit", "oracle", "reproduce-tables", "sweep", "export-plot-data", "nope"]
+        )
+    )
+    argv, case_file = [command], None
+    if command in ("run-case", "fit", "oracle", "export-plot-data"):
+        if draw(st.booleans()):
+            argv += ["--case", draw(_CASE_REFS)]
+        else:
+            argv += ["--case", _CASE_FILE_ARG]
+            case_file = draw(_CASE_FILES)
+    if command in ("run-case", "export-plot-data") and draw(st.booleans()):
+        argv.append("--paper-params")
+    if command == "reproduce-tables":
+        argv.append(f"--tables={draw(_TABLE_RANGES)}")
+    if command == "sweep":
+        argv += [f"--alphas={draw(_number_lists(_ALPHAS))}", f"--hs={draw(_number_lists(_HS))}"]
+    # Three calls in four take a valid step, so most reach the solvers.
+    step = draw(_VALID_STEPS if draw(st.integers(0, 3)) else _OTHER_STEPS)
+    argv.append(f"--h={step}")
+    return argv, case_file
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(call=_cli_call())
+def test_cli_inputs_end_in_documented_exit_code(call, tmp_path):
+    argv, case_file = call
+    run = Path(tempfile.mkdtemp(dir=tmp_path))
+    if case_file is not None:
+        (run / "case.json").write_text(case_file)
+        argv = [str(run / "case.json") if a == _CASE_FILE_ARG else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--out", str(run / "out")])
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_NUMERICAL, EXIT_MISSING), argv
+    if code != EXIT_OK:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert json.loads(lines[0])["error"]["exitCode"] == code
+

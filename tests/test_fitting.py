@@ -8,10 +8,8 @@ import pytest
 from jhflow.cases import CASE_IDS, PAPER_PARAMS_VELOCITY, get_case
 from jhflow.fitting import (
     FitResult,
-    NoProgress,
     ObjectiveSpec,
     _velocity_residual_from_basis,
-    default_starts,
     fit,
     gauss_legendre_01,
     levenberg_marquardt,
@@ -145,6 +143,23 @@ def test_objective_zero_beta_thermal_vanishes_at_zero_parameters():
     assert objective(zeros, spec, p) == 0.0
 
 
+def basis_check_points() -> list[np.ndarray]:
+    """Zeros, a +/-0.01 nudge on C1, then seeded draws at three scales."""
+    nudge = np.eye(7)[0] * 0.01
+    points = [np.zeros(7), nudge, -nudge]
+    points += list(np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 7)) * 1e-2)
+    rng = np.random.default_rng(11)
+    points += [rng.uniform(-1.0, 1.0, size=7) * s for s in (1e-2, 1e-1, 1.0)]
+    return points
+
+
+def products(x: np.ndarray) -> np.ndarray:
+    """z = (C1, C1*C2, ..., C1*C7) of a coefficient vector."""
+    z = x[0] * x
+    z[0] = x[0]
+    return z
+
+
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_basis_velocity_residual_matches_residual_vector(case_id):
     # fit minimizes the velocity residual sampled from a precomputed stage
@@ -153,14 +168,26 @@ def test_basis_velocity_residual_matches_residual_vector(case_id):
     params = get_case(case_id).params
     spec = velocity_objective_spec(params)
     basis = _velocity_residual_from_basis(spec, params)
-    rng = np.random.default_rng(11)
-    points = default_starts(spec, seed=0)
-    points += [rng.uniform(-1.0, 1.0, size=7) * s for s in (1e-2, 1e-1, 1.0)]
-    for x in points:
-        z = x[0] * x
-        z[0] = x[0]
+    for x in basis_check_points():
         reference = residual_vector(x, spec, params)
-        assert np.max(np.abs(basis(z) - reference)) <= 1e-12 * np.max(np.abs(reference))
+        r, _ = basis(products(x))
+        assert np.max(np.abs(r - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_basis_velocity_jacobian_matches_central_difference(case_id):
+    # r is quadratic in z, so a central difference is exact up to rounding.
+    params = get_case(case_id).params
+    spec = velocity_objective_spec(params)
+    basis = _velocity_residual_from_basis(spec, params)
+    for x in basis_check_points():
+        z = products(x)
+        _, J = basis(z)
+        for j in range(z.size):
+            step = 1e-3 * max(1.0, abs(z[j]))
+            dz = np.eye(z.size)[j] * step
+            central = (basis(z + dz)[0] - basis(z - dz)[0]) / (2.0 * step)
+            assert np.max(np.abs(J[:, j] - central)) <= 1e-8 * np.max(np.abs(J)), j
 
 
 @pytest.mark.parametrize("mode", THERMAL_MODES)
@@ -204,8 +231,11 @@ def test_thermal_fit_is_a_minimum(mode):
 
 
 def test_lm_solves_linear_least_squares_exactly():
+    M = np.array([[2.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+
     def fun(x):
-        return np.array([2.0 * (x[0] - 3.0), x[1] + 1.0, 0.5 * (x[0] + x[1] - 2.0)])
+        r = np.array([2.0 * (x[0] - 3.0), x[1] + 1.0, 0.5 * (x[0] + x[1] - 2.0)])
+        return r, M
 
     x, iterations, converged, log = levenberg_marquardt(fun, np.zeros(2))
     assert converged
@@ -220,7 +250,8 @@ def test_lm_solves_linear_least_squares_exactly():
 
 def test_lm_monotone_acceptance():
     def fun(x):
-        return np.array([x[0] ** 2 - 2.0, math.sin(x[0]) - 0.4, x[0] * 0.1])
+        r = np.array([x[0] ** 2 - 2.0, math.sin(x[0]) - 0.4, x[0] * 0.1])
+        return r, np.array([[2.0 * x[0]], [math.cos(x[0])], [0.1]])
 
     _, _, _, log = levenberg_marquardt(fun, np.array([3.0]))
     objectives = [record.objective for record in log]
@@ -228,30 +259,22 @@ def test_lm_monotone_acceptance():
     assert any(record.accepted for record in log)
 
 
-def test_lm_no_progress_on_nonsmooth_kink():
-    # Forward differences see a descent direction that only increases the
-    # true objective; every damping value is rejected.
+def test_lm_stall_is_not_convergence():
+    # The Jacobian points uphill, so every step raises the objective and
+    # every damping value is rejected: a stall, not a converged fit.
     def fun(x):
-        return np.array([1.0 + abs(x[0])])
+        return np.array([1.0 + x[0]]), np.array([[-1.0]])
 
-    with pytest.raises(NoProgress):
-        levenberg_marquardt(fun, np.zeros(1))
-
-
-def test_lm_respects_bounds():
-    def fun(x):
-        return np.array([x[0] - 5.0])
-
-    x, _, converged, _ = levenberg_marquardt(
-        fun, np.zeros(1), bounds=[(-1.0, 1.0)]
-    )
-    assert converged
-    assert x[0] == pytest.approx(1.0, abs=1e-12)
+    x, iterations, converged, log = levenberg_marquardt(fun, np.zeros(1))
+    assert not converged
+    assert x[0] == 0.0
+    assert iterations == 1 and not log[-1].accepted
 
 
 def test_lm_cap_exit_is_not_convergence():
     def fun(x):
-        return np.array([math.exp(0.01 * x[0]) - 0.5])  # slow crawl to the left
+        e = math.exp(0.01 * x[0])
+        return np.array([e - 0.5]), np.array([[0.01 * e]])  # slow crawl to the left
 
     _, iterations, converged, _ = levenberg_marquardt(
         fun, np.zeros(1), max_iterations=2
@@ -264,41 +287,39 @@ def test_lm_cap_exit_is_not_convergence():
 
 
 def test_fit_validates_inputs():
+    # fit takes no optimizer options; a caller passing one is told so
+    # rather than having it silently ignored.
     spec = velocity_objective_spec(CASE52.params)
-    with pytest.raises(ValueError):
-        fit(spec, CASE52.params, method="bfgs")
-    with pytest.raises(ValueError):
-        fit(spec, CASE52.params, starts=[])
-
-
-def test_default_starts_shape():
-    spec = velocity_objective_spec(CASE52.params)
-    starts = default_starts(spec, seed=0)
-    assert len(starts) == 8
-    assert all(s.shape == (7,) for s in starts)
-    assert np.all(starts[0] == 0.0)
-    assert starts[1][0] == 0.01 and starts[2][0] == -0.01
-    # Seeded draws are reproducible.
-    again = default_starts(spec, seed=0)
-    for a, b in zip(starts, again):
-        assert np.array_equal(a, b)
+    for option in ("seed", "starts", "method", "max_iterations"):
+        with pytest.raises(TypeError):
+            fit(spec, CASE52.params, **{option: 0})
 
 
 def test_fit_deterministic_rerun(velocity_fits):
     entry = velocity_fits["5.2"]
-    fresh = fit(entry["spec"], entry["case"].params, seed=0, method="lm")
+    fresh = fit(entry["spec"], entry["case"].params)
     assert fresh.parameters == entry["result"].parameters  # bit-identical floats
     assert fresh.objective_value == entry["result"].objective_value
     assert fresh.residual_profile == entry["result"].residual_profile
 
 
-def test_fit_result_beats_every_start(velocity_fits):
-    entry = velocity_fits["5.2"]
-    spec, params = entry["spec"], entry["case"].params
-    best = entry["result"].objective_value
-    for start in default_starts(spec, seed=0):
-        named = dict(zip(spec.parameter_names, (float(v) for v in start)))
-        assert best <= objective(named, spec, params) + 1e-300
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_fit_velocity_is_a_minimum(velocity_fits, case_id):
+    # Independent of how the optimizer stopped: the exact scaled gradient
+    # vanishes at the fitted z, and no +/-1e-6 relative step of a Ck lowers
+    # the objective (the smallest rise seen is 2.9e-10 relative, case 5.8).
+    entry = velocity_fits[case_id]
+    spec, params, result = entry["spec"], entry["case"].params, entry["result"]
+    assert result.converged
+    c = np.array([result.parameters[name] for name in spec.parameter_names])
+    r, J = _velocity_residual_from_basis(spec, params)(products(c))
+    cosines = np.abs(J.T @ r) / (np.linalg.norm(J, axis=0) * np.linalg.norm(r))
+    assert np.max(cosines) <= 1e-10
+    best = result.objective_value
+    for name, value in result.parameters.items():
+        for sign in (1.0, -1.0):
+            moved = {**result.parameters, name: value * (1.0 + sign * 1e-6)}
+            assert objective(moved, spec, params) >= best, f"{name} {sign:+}"
 
 
 def test_fit_objective_value_is_recomputed(velocity_fits):
@@ -308,20 +329,12 @@ def test_fit_objective_value_is_recomputed(velocity_fits):
     assert abs(reported - recomputed) <= 1e-10 * max(abs(recomputed), 1e-300)
 
 
-def test_fit_accepts_mapping_starts(velocity_fits):
-    entry = velocity_fits["5.2"]
-    spec, params = entry["spec"], entry["case"].params
-    as_map = entry["result"].parameters
-    as_vec = [as_map[name] for name in spec.parameter_names]
-    from_map = fit(spec, params, starts=[as_map], method="lm")
-    from_vec = fit(spec, params, starts=[as_vec], method="lm")
-    assert from_map.parameters == from_vec.parameters
-
-
 def test_fit_iteration_cap_reports_unconverged():
     spec = velocity_objective_spec(CASE52.params)
-    result = fit(spec, CASE52.params, starts=[np.zeros(7)], method="lm", max_iterations=1)
-    assert not result.converged
+    fun = _velocity_residual_from_basis(spec, CASE52.params)
+    _, iterations, converged, _ = levenberg_marquardt(fun, np.zeros(7), max_iterations=1)
+    assert iterations == 1
+    assert not converged
 
 
 def test_fit_residual_profile_shape(velocity_fits):
@@ -330,24 +343,10 @@ def test_fit_residual_profile_shape(velocity_fits):
     assert all(math.isfinite(v) for v in profile)
 
 
-def test_optimizer_independence_from_shared_start(velocity_fits):
-    # Both minimizers, started at the same point near the minimum, must
-    # report the same basin: final objectives within 5% relative.
-    for case_id, entry in velocity_fits.items():
-        spec, params = entry["spec"], entry["case"].params
-        start = entry["result"].parameters
-        lm = fit(spec, params, starts=[start], method="lm", max_iterations=100)
-        nm = fit(spec, params, starts=[start], method="nelder-mead", max_iterations=100)
-        rel = abs(lm.objective_value - nm.objective_value) / max(
-            abs(lm.objective_value), 1e-300
-        )
-        assert rel <= 0.05, f"case {case_id}: LM/NM disagree by {rel:.3e}"
-
-
 def test_quadrature_doubling_stability(velocity_fits):
     entry = velocity_fits["5.7"]
     doubled_spec = velocity_objective_spec(entry["case"].params, n=60)
-    doubled = fit(doubled_spec, entry["case"].params, seed=0, method="lm")
+    doubled = fit(doubled_spec, entry["case"].params)
     base = entry["result"].objective_value
     rel = abs(base - doubled.objective_value) / max(abs(base), 1e-300)
     assert rel < 0.01

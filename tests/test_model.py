@@ -56,6 +56,23 @@ def test_flow_params_validation():
         FlowParams(alpha=0.1, Re=50.0, H=0.0, beta=-1e-12)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"Re": math.inf},
+        {"Re": math.nan},
+        {"H": math.inf},
+        {"H": math.nan},
+        {"Pr": math.inf},
+        {"beta": math.nan},
+        {"alpha": 1e-173, "Re": 1e-173},  # 2*alpha*Re underflows to 0
+    ],
+)
+def test_flow_params_rejects_non_finite_and_underflowing_groups(fields):
+    with pytest.raises(ValidationError):
+        FlowParams(**{"alpha": 0.1, "Re": 50.0, "H": 0.0, **fields})
+
+
 # -- seeds --------------------------------------------------------------------
 
 
