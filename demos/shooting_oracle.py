@@ -2,11 +2,13 @@
 #
 # The centerline curvature F''(0) is unknown, so the solver brackets it,
 # runs secant steps with bisection fallback, and accepts once the wall
-# value |F(1)| drops below 1e-12.  The secant first converges on a grid
-# ten times coarser, where a trial costs a tenth and keeps only F(1); its
-# root and slope then seed the full-grid secant, which needs one or two
-# trials and returns the accepted trial's rows.  Halving the step should
-# shrink the error about sixteen-fold for a fourth-order scheme; the
+# value |F(1)| drops below 1e-12.  The secant first converges on coarser
+# grids (n/100, then n/10 steps, keeping those with at least 100 steps),
+# where a trial keeps only F(1).  With two such roots, Richardson
+# extrapolation by the h^4 error of RK4 predicts the full-grid root, so the
+# full-grid secant usually needs one trial, whose rows it returns.  At the
+# h = 1e-3 used here the only coarse grid has 100 steps.  Halving the step
+# should shrink the error about sixteen-fold for a fourth-order scheme; the
 # Richardson ratio below checks that without knowing the exact solution.
 
 import numpy as np

@@ -37,7 +37,7 @@ from .model import (
     thermal_solution,
     velocity_solution,
 )
-from .oracle import OracleSolution, fit_polynomial, shoot_thermal, shoot_velocity
+from .oracle import OracleSolution, shoot_thermal, shoot_velocity
 from .polyalg import LaurentPoly
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ __all__ = [
     "OracleSolution",
     "StageSolution",
     "fit",
-    "fit_polynomial",
     "get_case",
     "load_case",
     "residual_thermal",

@@ -3,9 +3,12 @@
 The velocity problem is integrated as a first-order system in
 (F, F', F'') with the missing curvature F''(0) found by a bracketed
 secant iteration on the terminal value F(1).  The iteration first runs on
-a grid ten times coarser, where each trial keeps only F(1); its root and
-last secant slope seed the same iteration on the full grid, which then
-needs one or two trials, and the accepted trial's rows are the solution.
+coarser grids, n // 100 and then n // 10 steps where these have at least
+100 steps, and otherwise on one grid of n // 10; there each trial keeps
+only F(1), and each grid starts from the previous one's root and slope.
+Richardson extrapolation of the two coarse roots by the h^4 error of RK4
+seeds the full-grid secant, whose first trial then usually meets the
+tolerance, and the accepted trial's rows are the solution.
 The temperature problem is linear in theta, so it is solved from the
 velocity rows without integrating F again: F and F' at every RK4 stage
 point are rebuilt from the rows, each step becomes an affine map of
@@ -24,13 +27,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import FlowParams
-from .polyalg import LaurentPoly
 
 __all__ = [
     "OracleSolution",
     "shoot_velocity",
     "shoot_thermal",
-    "fit_polynomial",
     "OracleError",
     "NonFiniteState",
     "ShootingDiverged",
@@ -46,6 +47,8 @@ SHOOTING_BRACKET = (-30.0, 0.0)
 TERMINAL_TOLERANCE = 1e-12
 _MAX_SHOTS = 100
 _MAX_STEPS = 10**6
+# Fewest steps of a coarse grid in the secant ladder of shoot_velocity.
+_MIN_LEVEL_STEPS = 100
 
 
 class OracleError(RuntimeError):
@@ -148,15 +151,18 @@ def _integrate_velocity(A: float, B: float, s: float, n: int, dense: bool = Fals
     """F(1) after n scalar RK4 steps from F(0)=1, F'(0)=0, F''(0)=s.
 
     With dense=True the (n + 1, 3) rows of (F, F', F'') come back instead.
+    They are stored as scalar items through a memoryview of the flat
+    buffer, which costs less per step than assigning an ndarray row.
     A trial whose |F| or |F''| passes _BLOWUP_LIMIT raises _BlowUp.
     """
     h = 1.0 / n
     h2, h6 = h / 2, h / 6
     f0, f1, f2 = 1.0, 0.0, s
-    out = np.empty((n + 1, 3)) if dense else None
     if dense:
-        out[0] = (f0, f1, f2)
-    for i in range(1, n + 1):
+        rows = np.empty(3 * (n + 1))
+        flat = memoryview(rows)
+        flat[0], flat[1], flat[2] = f0, f1, f2
+    for k in range(3, 3 * n + 3, 3):
         # Stages of the autonomous system (F', F'', -A F F' - B F'): the
         # first two components of a stage are F' and F'' of the state it
         # is taken at, so only the third needs computing.
@@ -173,8 +179,8 @@ def _integrate_velocity(A: float, B: float, s: float, n: int, dense: bool = Fals
         if not (-_BLOWUP_LIMIT < f0 < _BLOWUP_LIMIT and -_BLOWUP_LIMIT < f2 < _BLOWUP_LIMIT):
             raise _BlowUp(math.copysign(1.0, f0 if abs(f0) > 1.0 else f1))
         if dense:
-            out[i] = (f0, f1, f2)
-    return out if dense else float(f0)
+            flat[k], flat[k + 1], flat[k + 2] = f0, f1, f2
+    return rows.reshape(n + 1, 3) if dense else float(f0)
 
 
 def velocity_terminal(params: FlowParams, s: float, h: float = 1e-3) -> float:
@@ -194,8 +200,10 @@ def _secant(
     Each trial replaces the end of [lo, hi] whose terminal sign it shares,
     taking sign_lo as the sign at lo; a secant step that would leave the
     bracket goes to its midpoint instead.  Returns the accepted root and
-    the last secant slope.
+    the last secant slope.  A bracket that has shrunk to adjacent floats,
+    so that the next trial would repeat s, raises ShootingDiverged.
     """
+    best = abs(f)
     for _ in range(_MAX_SHOTS):
         if abs(f) <= TERMINAL_TOLERANCE:
             return s, slope
@@ -206,9 +214,15 @@ def _secant(
         candidate = s - f / slope if slope != 0.0 else 0.5 * (lo + hi)
         if not lo < candidate < hi:
             candidate = 0.5 * (lo + hi)
+        if candidate == s:
+            raise ShootingDiverged(
+                f"bracket collapsed at s = {s!r} before meeting the terminal "
+                f"tolerance; best |F(1)| = {best:.3e}"
+            )
         f_candidate = terminal(candidate)
         slope = (f_candidate - f) / (candidate - s)
         s, f = candidate, f_candidate
+        best = min(best, abs(f))
     raise ShootingDiverged(f"no convergence after {_MAX_SHOTS} shots; |F(1)| = {abs(f):.3e}")
 
 
@@ -219,42 +233,63 @@ def shoot_velocity(
 ) -> OracleSolution:
     """Solve the velocity problem, finding F''(0) by secant with bisection.
 
-    A bracketed secant on the terminal value F(1) first runs on a coarse
-    grid of max(1, n // 10) steps, where each trial computes F(1) only.
-    Its root and last secant slope seed the same secant on the n-step
-    grid, which keeps the bisection fallback inside the original bracket
-    and stores the rows of every trial, so the accepted trial's rows are
-    the returned solution.  Typically one or two fine trials are needed.
+    A bracketed secant on the terminal value F(1) runs on a ladder of
+    coarse grids, n // 100 and then n // 10 steps, where each trial
+    computes F(1) only.  A grid of fewer than 100 steps can give the wrong
+    terminal sign at the bracket ends, so such grids are dropped; with
+    none left the ladder is the one grid of max(1, n // 10) steps.  Each
+    level starts from the previous level's root and last secant slope,
+    and keeps the bisection fallback inside the original bracket.  With
+    two levels, Richardson extrapolation of their roots by the h^4 error
+    of RK4 seeds the n-step secant; otherwise the last coarse root does.
+    The n-step secant stores the rows of every trial, so the accepted
+    trial's rows are the returned solution.  Typically the seed already
+    meets the tolerance and the full grid is integrated once.
     """
     n = _check_step(h)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
     A, B = params.A, params.B
-
-    def coarse(s: float) -> float:
-        # A diverging trial still tells the bracket which side it is on.
-        try:
-            return _integrate_velocity(A, B, s, max(1, n // 10))
-        except _BlowUp as blowup:
-            return blowup.sign * _BLOWUP_LIMIT
-
     rows = None
 
-    def fine(s: float) -> float:
-        nonlocal rows
-        try:
-            rows = _integrate_velocity(A, B, s, n, dense=True)
-        except _BlowUp as blowup:
-            return blowup.sign * _BLOWUP_LIMIT
-        return float(rows[-1, 0])
+    def terminal(m: int) -> Callable[[float], float]:
+        def shot(s: float) -> float:
+            nonlocal rows
+            # A diverging trial still tells the bracket which side it is on.
+            try:
+                if m < n:
+                    return _integrate_velocity(A, B, s, m)
+                rows = _integrate_velocity(A, B, s, n, dense=True)
+            except _BlowUp as blowup:
+                return blowup.sign * _BLOWUP_LIMIT
+            return float(rows[-1, 0])
 
-    f_lo, f_hi = coarse(lo), coarse(hi)
+        return shot
+
+    levels = [m for m in (n // 100, n // 10) if m >= _MIN_LEVEL_STEPS] or [max(1, n // 10)]
+    first = terminal(levels[0])
+    f_lo, f_hi = first(lo), first(hi)
     if f_lo * f_hi > 0.0:
         raise ShootingDiverged(f"terminal value does not change sign over {bracket}")
     sign_lo = math.copysign(1.0, f_lo) if f_lo else -math.copysign(1.0, f_hi)
     s, f = (lo, f_lo) if f_lo == 0.0 else (hi, f_hi)
-    s, slope = _secant(coarse, lo, hi, sign_lo, s, f, (f_hi - f_lo) / (hi - lo))
+    slope = (f_hi - f_lo) / (hi - lo)
+    roots = []
+    for m in levels:
+        shot = terminal(m)
+        if roots:
+            f = shot(s)
+        s, slope = _secant(shot, lo, hi, sign_lo, s, f, slope)
+        roots.append(s)
+    if len(roots) == 2:
+        # The RK4 root on m steps is s* + c m^-4 to leading order.
+        (m1, m2), (s1, s2) = levels, roots
+        c = (s1 - s2) / (m1**-4 - m2**-4)
+        seed = s2 + c * (n**-4 - m2**-4)
+        if lo < seed < hi:
+            s = seed
+    fine = terminal(n)
     s, _ = _secant(fine, lo, hi, sign_lo, s, fine(s), slope)
     return OracleSolution(
         grid=np.arange(n + 1) / n,
@@ -412,16 +447,3 @@ def shoot_thermal(
         shooting_parameter=float(c),
         terminal_miss=miss,
     )
-
-
-def fit_polynomial(solution: OracleSolution, degree: int = 14) -> LaurentPoly:
-    """Least-squares polynomial through the dense value column.
-
-    Fitted in a Chebyshev basis for conditioning, then converted exactly
-    to monomial coefficients.
-    """
-    cheb = np.polynomial.chebyshev.Chebyshev.fit(
-        solution.grid, solution.values[:, 0], degree, domain=[0.0, 1.0]
-    )
-    mono = cheb.convert(kind=np.polynomial.polynomial.Polynomial)
-    return LaurentPoly({e: c for e, c in enumerate(mono.coef)})

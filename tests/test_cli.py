@@ -260,6 +260,23 @@ def test_oracle_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert json.loads(err)["error"]["type"] == "ShootingDiverged"
 
 
+def test_oracle_collapsed_bracket_exits_3(tmp_path, capsys):
+    # The secant's bracket shrinks to adjacent floats while |F(1)| stays
+    # just above the terminal tolerance.
+    case_file = tmp_path / "zd.json"
+    case_file.write_text(json.dumps({
+        "id": "zd", "alpha": 1.093485762963036, "Re": 1139.484962553355,
+        "H": 1932.5739439501933,
+    }))
+    code, _, err = run_cli(
+        capsys, "oracle", "--case", str(case_file), "--out", str(tmp_path / "out")
+    )
+    assert code == EXIT_NUMERICAL
+    lines = err.strip().split("\n")
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "ShootingDiverged"
+
+
 # -- fit ---------------------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jhflow import oracle
-from jhflow.cases import CASE_IDS, get_case
+from jhflow.cases import CASE_IDS, case_from_dict, get_case
 from jhflow.model import FlowParams
 from jhflow.oracle import (
     DEFAULT_STEP,
@@ -15,16 +15,16 @@ from jhflow.oracle import (
     OracleSolution,
     ShootingDiverged,
     _check_step,
-    fit_polynomial,
     shoot_thermal,
     shoot_velocity,
     velocity_terminal,
 )
+from jhflow.polyalg import LaurentPoly
 
 CASE51 = FlowParams(alpha=math.pi / 24, Re=50.0, H=0.0, Pr=1.0, beta=3.492161428e-13)
 
 
-# -- rk4_step: the independent integrator the oracle is checked against ---------
+# -- rk4_step and fit_polynomial: independent tools the oracle is checked with --
 
 
 def rk4_step(state, eta: float, h: float, derivs) -> np.ndarray:
@@ -38,6 +38,19 @@ def rk4_step(state, eta: float, h: float, derivs) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NonFiniteState(f"state became non-finite near eta = {eta}")
     return out
+
+
+def fit_polynomial(solution: OracleSolution, degree: int = 14) -> LaurentPoly:
+    """Least-squares polynomial through the dense value column.
+
+    Fitted in a Chebyshev basis for conditioning, then converted exactly
+    to monomial coefficients.
+    """
+    cheb = np.polynomial.chebyshev.Chebyshev.fit(
+        solution.grid, solution.values[:, 0], degree, domain=[0.0, 1.0]
+    )
+    mono = cheb.convert(kind=np.polynomial.polynomial.Polynomial)
+    return LaurentPoly({e: c for e, c in enumerate(mono.coef)})
 
 
 def test_rk4_single_step_exponential():
@@ -144,6 +157,78 @@ def test_velocity_shot_integrates_full_grid_at_most_three_times(h, monkeypatch):
         sol = shoot_velocity(get_case(case_id).params, h=h)
         assert 1 <= len(full) <= 3, case_id
         assert full[-1] == sol.shooting_parameter
+
+
+def _record_integrations(monkeypatch, n):
+    """Lists of the s of every n-step integration and of every step count."""
+    full, steps = [], []
+    kernel = oracle._integrate_velocity
+
+    def counted(A, B, s, m, *args, **kwargs):
+        steps.append(m)
+        if m == n:
+            full.append(s)
+        return kernel(A, B, s, m, *args, **kwargs)
+
+    monkeypatch.setattr("jhflow.oracle._integrate_velocity", counted)
+    return full, steps
+
+
+def test_velocity_shot_integrates_full_grid_once_at_default_step(monkeypatch):
+    # The Richardson seed from the 100- and 1000-step roots already meets
+    # the terminal tolerance, so the one full-grid pass is the solution.
+    full, _ = _record_integrations(monkeypatch, 10**4)
+    for case_id in CASE_IDS:
+        full.clear()
+        sol = shoot_velocity(get_case(case_id).params, h=1e-4)
+        assert full == [sol.shooting_parameter], case_id
+
+
+# The coarse grids of the secant ladder at each step: levels under 100
+# steps are dropped, and without any left the ladder is one grid of n // 10.
+LADDER = {1e-2: [10], 5e-3: [20], 2e-3: [50], 1e-3: [100], 2e-4: [500], 1e-4: [100, 1000]}
+
+
+@pytest.mark.parametrize("case_id", ["5.1", "5.4"])
+@pytest.mark.parametrize("h", sorted(LADDER, reverse=True))
+def test_velocity_step_ladder(case_id, h, monkeypatch):
+    n = round(1.0 / h)
+    _, steps = _record_integrations(monkeypatch, n)
+    sol = shoot_velocity(get_case(case_id).params, h=h)
+    assert sol.terminal_miss <= 1e-12
+    # Each level is entered once, coarsest first, before the full grid.
+    assert [m for i, m in enumerate(steps) if i == 0 or steps[i - 1] != m] == LADDER[h] + [n]
+
+
+@pytest.mark.parametrize("s", [-4.62, -1.2436, 0.0])
+def test_dense_rows_end_in_the_terminal_value(s):
+    p = get_case("5.4").params
+    rows = oracle._integrate_velocity(p.A, p.B, s, 1000, dense=True)
+    assert rows.shape == (1001, 3)
+    assert tuple(rows[0]) == (1.0, 0.0, s)
+    assert rows[-1, 0] == oracle._integrate_velocity(p.A, p.B, s, 1000)
+
+
+def test_secant_collapsed_bracket_raises():
+    # A terminal value that never drops below 1e-11 in magnitude: bisection
+    # shrinks the bracket to adjacent floats, where the next trial would
+    # repeat s.
+    def terminal(s):
+        return 1e-11 if s > 0.1 else -1e-11
+
+    with pytest.raises(ShootingDiverged, match="collapsed.*1.000e-11"):
+        oracle._secant(terminal, 0.0, 1.0, -1.0, 1.0, 1e-11, 1.0)
+
+
+# alpha, Re and H at which the secant's bracket shrinks to adjacent floats
+# near s = -5.2169723 while |F(1)| stays a little above 1e-12.
+COLLAPSING_CASE = {"id": "zd", "alpha": 1.093485762963036, "Re": 1139.484962553355,
+                   "H": 1932.5739439501933}
+
+
+def test_velocity_collapsed_bracket_raises_shooting_diverged():
+    with pytest.raises(ShootingDiverged, match="collapsed"):
+        shoot_velocity(case_from_dict(COLLAPSING_CASE).params, h=1e-4)
 
 
 def test_bad_bracket_raises():
