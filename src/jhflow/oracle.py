@@ -1,28 +1,24 @@
 """Independent finite-difference reference solutions by RK4 shooting.
 
-The velocity problem is integrated as a first-order system in
-(F, F', F'') with the missing curvature F''(0) found by a bracketed
-secant iteration on the terminal value F(1).  The iteration first runs on
-coarser grids, n // 100 and then n // 10 steps where these have at least
-100 steps, and otherwise on one grid of n // 10; there each trial keeps
-only F(1), and each grid starts from the previous one's root and slope.
-Richardson extrapolation of the two coarse roots by the h^4 error of RK4
-seeds the full-grid secant, whose first trial then usually meets the
-tolerance, and the accepted trial's rows are the solution.
+The velocity equation F''' + A F F' + B F' = 0 with F(0) = 1, F'(0) = 0
+and F''(0) = s integrates once to F'' = s + (1 - F)(A(1 + F)/2 + B), so
+classical RK4 runs on the two states (F, F') of that first integral, in
+Nystrom form.  The missing s is found by a bracketed secant on the terminal
+value F(1), run on coarser grids first; Richardson extrapolation of their
+roots seeds the full grid, whose accepted trial's rows are the solution.
 The temperature problem is linear in theta, so it is solved from the
-velocity rows without integrating F again: F and F' at every RK4 stage
-point are rebuilt from the rows, each step becomes an affine map of
-(theta, theta'), and a prefix scan of the maps gives a particular and a
-homogeneous temperature solution at once.  Their combination that meets
-theta(1) = 0 is exact.  Nothing here shares code with the staged-homotopy
-solver, so the two routes check each other.
+velocity rows without integrating F again: each RK4 step is an affine map
+of (theta, theta'), and a prefix scan of the maps gives a particular and a
+homogeneous solution whose combination meets theta(1) = 0 exactly.
+Nothing here shares code with the staged-homotopy solver, so the two
+routes check each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -150,37 +146,42 @@ def _check_step(h: float) -> int:
 def _integrate_velocity(A: float, B: float, s: float, n: int, dense: bool = False):
     """F(1) after n scalar RK4 steps from F(0)=1, F'(0)=0, F''(0)=s.
 
-    With dense=True the (n + 1, 3) rows of (F, F', F'') come back instead.
-    They are stored as scalar items through a memoryview of the flat
-    buffer, which costs less per step than assigning an ndarray row.
-    A trial whose |F| or |F''| passes _BLOWUP_LIMIT raises _BlowUp.
+    RK4 runs in Nystrom form on (u, p) = (1 - F, F') of the first integral
+    F'' = g(u) = s + u (A + B - (A/2) u), one g per stage.  With dense=True
+    the (n + 1, 3) rows of (F, F', F'') come back instead: (u, p) go through
+    a memoryview into one flat buffer, then F = 1 - u and F'' = g(u) are
+    filled in.  A trial whose |1 - u| or |g(u)| passes _BLOWUP_LIMIT (the
+    bounds on u are exact integers) raises _BlowUp.
     """
     h = 1.0 / n
-    h2, h6 = h / 2, h / 6
-    f0, f1, f2 = 1.0, 0.0, s
+    h2, h6, hh2, hh4, hh6 = h / 2, h / 6, h * h / 2, h * h / 4, h * h / 6
+    a, c = A / 2, A + B
+    u_lo, u_hi = 1.0 - _BLOWUP_LIMIT, 1.0 + _BLOWUP_LIMIT
+    u, p, g1 = 0.0, 0.0, s
     if dense:
         rows = np.empty(3 * (n + 1))
         flat = memoryview(rows)
-        flat[0], flat[1], flat[2] = f0, f1, f2
+        flat[0], flat[1] = u, p
     for k in range(3, 3 * n + 3, 3):
-        # Stages of the autonomous system (F', F'', -A F F' - B F'): the
-        # first two components of a stage are F' and F'' of the state it
-        # is taken at, so only the third needs computing.
-        c1 = -A * f0 * f1 - B * f1
-        y0, y1, y2 = f0 + h2 * f1, f1 + h2 * f2, f2 + h2 * c1
-        a2, b2, c2 = y1, y2, -A * y0 * y1 - B * y1
-        y0, y1, y2 = f0 + h2 * a2, f1 + h2 * b2, f2 + h2 * c2
-        a3, b3, c3 = y1, y2, -A * y0 * y1 - B * y1
-        y0, y1, y2 = f0 + h * a3, f1 + h * b3, f2 + h * c3
-        c4 = -A * y0 * y1 - B * y1
-        f0 = f0 + h6 * (f1 + 2 * a2 + 2 * a3 + y1)
-        f1 = f1 + h6 * (f2 + 2 * b2 + 2 * b3 + y2)
-        f2 = f2 + h6 * (c1 + 2 * c2 + 2 * c3 + c4)
-        if not (-_BLOWUP_LIMIT < f0 < _BLOWUP_LIMIT and -_BLOWUP_LIMIT < f2 < _BLOWUP_LIMIT):
-            raise _BlowUp(math.copysign(1.0, f0 if abs(f0) > 1.0 else f1))
+        v = u - h2 * p
+        g2 = s + v * (c - a * v)
+        w = v - hh4 * g1
+        g3 = s + w * (c - a * w)
+        x = u - h * p - hh2 * g2
+        g4 = s + x * (c - a * x)
+        u = u - h * p - hh6 * (g1 + g2 + g3)
+        p = p + h6 * (g1 + g4 + 2 * (g2 + g3))
+        g1 = s + u * (c - a * u)
+        if not (u_lo < u < u_hi and -_BLOWUP_LIMIT < g1 < _BLOWUP_LIMIT):
+            raise _BlowUp(math.copysign(1.0, 1.0 - u if abs(1.0 - u) > 1.0 else p))
         if dense:
-            flat[k], flat[k + 1], flat[k + 2] = f0, f1, f2
-    return rows.reshape(n + 1, 3) if dense else float(f0)
+            flat[k], flat[k + 1] = u, p
+    if dense:
+        rows, u = rows.reshape(n + 1, 3), rows[0::3]  # u is column 0
+        rows[:, 2] = s + u * (c - a * u)
+        rows[:, 0] = 1.0 - u
+        return rows
+    return 1.0 - u
 
 
 def velocity_terminal(params: FlowParams, s: float, h: float = 1e-3) -> float:
@@ -304,8 +305,7 @@ def _rk4_theta(p, dp, m, source, h: float):
     """One RK4 step of theta'' = m theta - source from (p, dp), elementwise.
 
     m and source hold the four stage values of each step.  The stage sums
-    are accumulated in the order (k1 + 2 k2) + 2 k3 + k4, as written out
-    in the velocity step, so at most one stage is alive at a time.
+    are accumulated as (k1 + 2 k2) + 2 k3 + k4, so one stage is alive at a time.
     """
     h2, h6 = h / 2, h / 6
     r = m[0] * p - source[0]
@@ -349,27 +349,30 @@ def _compose_prefix(maps: np.ndarray) -> np.ndarray:
     return src
 
 
-def _stage_coefficients(params: FlowParams, velocity: np.ndarray):
+def _stage_coefficients(params: FlowParams, velocity: np.ndarray, h: float):
     """m and source of theta'' = m theta - source at each step's RK4 stages.
 
-    velocity holds the (n + 1, 3) rows (F, F', F'') of a converged shot;
-    F and F' at the stage points are rebuilt from them with the operations
-    of _integrate_velocity.  Returns two lists of four length-n arrays.
+    velocity holds the (n + 1, 3) rows (F, F', F'') of a converged shot of
+    step h; F and F' at the stage points are rebuilt from them with the
+    stage formulas of _integrate_velocity, F' there being p, p + h/2 g1,
+    p + h/2 g2 and p + h g3.  Returns two lists of four length-n arrays.
     """
-    A, B = params.A, params.B
     a, re, h_mag, pr, beta = params.alpha, params.Re, params.H, params.Pr, params.beta
-    q0 = 4.0 * a * a
-    qc = 2.0 * a * re * pr
-    d0 = beta * pr * (h_mag + q0)
-    d1 = beta * pr
-    h = 1.0 / (len(velocity) - 1)
+    q0, qc = 4.0 * a * a, 2.0 * a * re * pr
+    d0, d1 = beta * pr * (h_mag + q0), beta * pr
     h2 = h / 2
-    f0, f1, f2 = velocity[:-1, 0], velocity[:-1, 1], velocity[:-1, 2]
-    y0, y1 = f0 + h2 * f1, f1 + h2 * f2
-    b2 = f2 + h2 * (-A * f0 * f1 - B * f1)
-    b3 = f2 + h2 * (-A * y0 * y1 - B * y1)
-    z0, z1 = f0 + h2 * y1, f1 + h2 * b2
-    stages = ((f0, f1), (y0, y1), (z0, z1), (f0 + h * z1, f1 + h * b3))
+    s, half_a, c = velocity[0, 2], params.A / 2, params.A + params.B
+    f0, f1, g1 = velocity[:-1, 0], velocity[:-1, 1], velocity[:-1, 2]
+
+    def g(f):
+        u = 1.0 - f
+        return s + u * (c - half_a * u)
+
+    y0 = f0 + h2 * f1
+    z0 = y0 + (h * h / 4) * g1
+    g2 = g(y0)
+    stages = ((f0, f1), (y0, f1 + h2 * g1), (z0, f1 + h2 * g2),
+              (f0 + h * f1 + (h * h / 2) * g2, f1 + h * g(z0)))
     m = [-(q0 + qc * s0) for s0, _ in stages]
     source = [d0 * s0 * s0 + d1 * s1 * s1 for s0, s1 in stages]
     return m, source
@@ -387,7 +390,7 @@ def _thermal_rows(params: FlowParams, velocity: np.ndarray) -> np.ndarray:
     """
     n = len(velocity) - 1
     h = 1.0 / n
-    m, source = _stage_coefficients(params, velocity)
+    m, source = _stage_coefficients(params, velocity, h)
     no_source = (0.0, 0.0, 0.0, 0.0)
     maps = np.empty((6, n))
     maps[0], maps[2] = _rk4_theta(1.0, 0.0, m, no_source, h)
@@ -407,11 +410,8 @@ def shoot_thermal(
 ) -> OracleSolution:
     """Solve the temperature problem against a converged velocity solution.
 
-    theta enters its equation affinely, so it is solved from the rows of F
-    without integrating the velocity again: each RK4 step is an affine map
-    of (theta, theta'), and a prefix scan of those maps gives a particular
-    solution theta_p (theta_p(0) = 0) and a homogeneous solution theta_h
-    (theta_h(0) = 1, no source), both with zero slope.
+    theta enters its equation affinely, so _thermal_rows solves it from the
+    rows of F as a particular solution theta_p and a homogeneous one theta_h.
     theta = theta_p + c theta_h with c = -theta_p(1) / theta_h(1) meets
     theta(1) = 0 exactly; the combined column's terminal value is then
     checked against TERMINAL_TOLERANCE.  F must hold the (F, F', F'') rows

@@ -262,11 +262,11 @@ def test_oracle_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_oracle_collapsed_bracket_exits_3(tmp_path, capsys):
     # The secant's bracket shrinks to adjacent floats while |F(1)| stays
-    # just above the terminal tolerance.
+    # above the terminal tolerance.
     case_file = tmp_path / "zd.json"
     case_file.write_text(json.dumps({
-        "id": "zd", "alpha": 1.093485762963036, "Re": 1139.484962553355,
-        "H": 1932.5739439501933,
+        "id": "zd", "alpha": 1.1834594725616916, "Re": 1641.9174924544782,
+        "H": 2411.142874874958,
     }))
     code, _, err = run_cli(
         capsys, "oracle", "--case", str(case_file), "--out", str(tmp_path / "out")

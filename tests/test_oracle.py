@@ -209,6 +209,45 @@ def test_dense_rows_end_in_the_terminal_value(s):
     assert rows[-1, 0] == oracle._integrate_velocity(p.A, p.B, s, 1000)
 
 
+def _rk4_rows(derivs, state, n):
+    """The n + 1 states of n rk4_step updates of size 1/n from state."""
+    rows = [np.asarray(state, dtype=float)]
+    for i in range(n):
+        rows.append(rk4_step(rows[-1], i / n, 1.0 / n, derivs))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_velocity_kernel_is_rk4_on_the_first_integral(case_id, n):
+    # F'' = s + (1 - F)(A (1 + F)/2 + B) integrates F''' + A F F' + B F' = 0
+    # once; the kernel must be classical RK4 on (F, F') of that equation.
+    p = get_case(case_id).params
+    A, B, s = p.A, p.B, PINNED_CURVATURE[case_id]
+
+    def curvature(f):
+        return s + (1.0 - f) * (A * (1.0 + f) / 2 + B)
+
+    expected = _rk4_rows(lambda eta, y: (y[1], curvature(y[0])), (1.0, 0.0), n)
+    rows = oracle._integrate_velocity(A, B, s, n, dense=True)
+    for column, values in enumerate((*expected.T, curvature(expected[:, 0]))):
+        scale = np.max(np.abs(values))
+        assert np.max(np.abs(rows[:, column] - values)) <= 1e-14 * scale, column
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_velocity_kernel_tracks_the_three_state_system(case_id):
+    # The reduction's signs and its A/2 against F''' = -A F F' - B F'
+    # stepped directly at h = 1e-3.
+    p = get_case(case_id).params
+    A, B, s = p.A, p.B, PINNED_CURVATURE[case_id]
+    expected = _rk4_rows(
+        lambda eta, y: (y[1], y[2], -A * y[0] * y[1] - B * y[1]), (1.0, 0.0, s), 1000
+    )
+    rows = oracle._integrate_velocity(A, B, s, 1000, dense=True)
+    assert np.max(np.abs(rows - expected)) <= 1e-10
+
+
 def test_secant_collapsed_bracket_raises():
     # A terminal value that never drops below 1e-11 in magnitude: bisection
     # shrinks the bracket to adjacent floats, where the next trial would
@@ -221,14 +260,24 @@ def test_secant_collapsed_bracket_raises():
 
 
 # alpha, Re and H at which the secant's bracket shrinks to adjacent floats
-# near s = -5.2169723 while |F(1)| stays a little above 1e-12.
-COLLAPSING_CASE = {"id": "zd", "alpha": 1.093485762963036, "Re": 1139.484962553355,
-                   "H": 1932.5739439501933}
+# near s = -25.582426 while |F(1)| stays above 1e-11.
+COLLAPSING_CASE = {"id": "zd", "alpha": 1.1834594725616916, "Re": 1641.9174924544782,
+                   "H": 2411.142874874958}
 
 
 def test_velocity_collapsed_bracket_raises_shooting_diverged():
     with pytest.raises(ShootingDiverged, match="collapsed"):
         shoot_velocity(case_from_dict(COLLAPSING_CASE).params, h=1e-4)
+
+
+def test_velocity_formerly_collapsing_case_converges():
+    # This input collapsed the bracket of the three-state RK4 kernel, a
+    # rounding accident that the first-integral kernel does not repeat.
+    params = case_from_dict(
+        {"id": "zd", "alpha": 1.093485762963036, "Re": 1139.484962553355,
+         "H": 1932.5739439501933}
+    ).params
+    assert shoot_velocity(params, h=1e-4).terminal_miss <= 1e-12
 
 
 def test_bad_bracket_raises():
