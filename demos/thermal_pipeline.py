@@ -3,9 +3,11 @@
 # The temperature equation is linear in theta with the velocity frozen,
 # so the velocity series is fitted first and handed to the thermal
 # objective.  The temperature series is affine in C8..C13 as well, so the
-# thermal fit is one linear least-squares solve.  The thermal decomposition used here is the scale-consistent
-# one: the seed solves the homogeneous stage, so every stage inherits the
-# tiny dissipation scale instead of mixing it with an order-one source.
+# thermal fit is one linear least-squares solve.  Each fit returns the
+# series it fitted, so nothing is re-assembled.  The thermal decomposition
+# used here is the scale-consistent one: the seed solves the homogeneous
+# stage, so every stage inherits the tiny dissipation scale instead of
+# mixing it with an order-one source.
 
 import numpy as np
 
@@ -15,9 +17,7 @@ from jhflow import (
     shoot_thermal,
     shoot_velocity,
     thermal_objective_spec,
-    thermal_solution,
     velocity_objective_spec,
-    velocity_solution,
 )
 
 case = get_case("5.2")
@@ -25,12 +25,12 @@ params = case.params
 
 vel_spec = velocity_objective_spec(params)
 vel_fit = fit(vel_spec, params)
-F = velocity_solution(params, vel_fit.parameters).assembled
+F = vel_fit.series
 print("velocity objective: %.3e" % vel_fit.objective_value)
 
 th_spec = thermal_objective_spec(params, mode=case.mode, velocity_polynomial=F)
 th_fit = fit(th_spec, params)
-theta = thermal_solution(params, th_fit.parameters, mode=case.mode).assembled
+theta = th_fit.series
 print("thermal objective: %.3e" % th_fit.objective_value)
 
 vel_oracle = shoot_velocity(params, h=1e-4)

@@ -11,7 +11,10 @@ export-plot-data    101-point series-vs-oracle profile, CSV or JSON
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure (shooting or
 fit did not converge), 4 missing data (unknown case or table).  Failures
-print a one-line JSON error object to stderr.
+print a one-line JSON error object to stderr.  A subcommand that fits
+(run-case, fit and export-plot-data without --paper-params) always writes
+its files and prints its manifest, which records whether each fit
+converged; if one did not, it then exits 3.
 
 Every subcommand takes the oracle step --h.  It is checked before any work:
 it must be finite, lie in (0, 0.5], divide [0, 1] evenly and give at most
@@ -29,14 +32,7 @@ from . import cases as case_data
 from . import report
 from . import tables as table_data
 from .engine import EngineError, SingularBoundarySystem
-from .fitting import fit, thermal_objective_spec, velocity_objective_spec
-from .model import (
-    MODE_PAPER,
-    MODE_SCALE_CONSISTENT,
-    ValidationError,
-    thermal_solution,
-    velocity_solution,
-)
+from .model import MODE_PAPER, MODE_SCALE_CONSISTENT, ValidationError
 from .oracle import DEFAULT_STEP, OracleError, _check_step, shoot_thermal, shoot_velocity
 from .polyalg import PolynomialError
 
@@ -119,6 +115,15 @@ def _load_case(ref: str, mode: str | None) -> case_data.CaseDefinition:
     return case
 
 
+def _print_manifest(manifest: dict) -> int:
+    """Print a manifest, then exit 3 if it names a fit that did not converge."""
+    print(json.dumps(manifest, indent=2, sort_keys=True))
+    failed = [p for p, ok in manifest.get("converged", {}).items() if not ok]
+    if failed:
+        raise CliError(EXIT_NUMERICAL, f"fit did not converge: {', '.join(failed)}")
+    return EXIT_OK
+
+
 def _cmd_run_case(args) -> int:
     case = _load_case(args.case, args.mode)
     manifest = report.run_case(
@@ -127,52 +132,18 @@ def _cmd_run_case(args) -> int:
         use_paper_params=args.paper_params,
         h=args.h,
     )
-    print(json.dumps(manifest, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _print_manifest(manifest)
 
 
 def _cmd_fit(args) -> int:
+    """Both fits always run; --problem picks the records that are written."""
     case = _load_case(args.case, args.mode)
     out = _out_dir(args.out)
-    params = case.params
-    records = {}
-    vel_spec = velocity_objective_spec(params, quadrature=args.quadrature)
-    vel_fit = fit(vel_spec, params)
-    F_series = velocity_solution(params, vel_fit.parameters).assembled
-    if args.problem in ("velocity", "both"):
-        records["velocity"] = vel_fit
-    if args.problem in ("thermal", "both"):
-        th_spec = thermal_objective_spec(
-            params,
-            mode=case.mode,
-            velocity_polynomial=F_series,
-            quadrature=args.quadrature,
-        )
-        records["thermal"] = fit(th_spec, params)
-    manifest = {"case": case.id, "files": {}}
-    failed = []
-    vel = shoot_velocity(params, h=args.h)
-    for problem, result in records.items():
-        oracle = vel if problem == "velocity" else shoot_thermal(params, vel, h=args.h)
-        component = "F" if problem == "velocity" else "theta"
-        series = (
-            F_series
-            if problem == "velocity"
-            else thermal_solution(params, result.parameters, mode=case.mode).assembled
-        )
-        grid_err = max(
-            abs(series.evaluate(e) - oracle.at(e, component))
-            for e in report.COMPARISON_ETAS
-        )
-        path = out / f"fit_{problem}_{case.id}.json"
-        report.write_json(path, result.to_record(case.id, problem, grid_err))
-        manifest["files"][problem] = str(path)
-        if not result.converged:
-            failed.append(problem)
-    print(json.dumps(manifest, indent=2, sort_keys=True))
-    if failed:
-        raise CliError(EXIT_NUMERICAL, f"fit did not converge: {', '.join(failed)}")
-    return EXIT_OK
+    solution = report.solve_case(case, args.h, quadrature=args.quadrature)
+    problems = ("velocity", "thermal") if args.problem == "both" else (args.problem,)
+    files = {p: str(report.write_fit_record(out, case.id, p, solution)) for p in problems}
+    manifest = {"case": case.id, "files": files, "converged": solution.converged}
+    return _print_manifest(manifest)
 
 
 def _cmd_oracle(args) -> int:
@@ -185,15 +156,13 @@ def _cmd_oracle(args) -> int:
         path = out / f"oracle_{problem}_{case.id}.csv"
         solution.to_csv(path)
         manifest["files"][problem] = str(path)
-    print(json.dumps(manifest, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _print_manifest(manifest)
 
 
 def _cmd_reproduce_tables(args) -> int:
     numbers = parse_table_range(args.tables)
     summary = report.reproduce_tables(numbers, _out_dir(args.out), h=args.h)
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _print_manifest(summary)
 
 
 def _cmd_sweep(args) -> int:
@@ -207,38 +176,21 @@ def _cmd_sweep(args) -> int:
     report.write_sweep_csv(path, rows)
     n_failed = len({(r["alpha"], r["H"]) for r in rows if r["error"]})
     manifest = {"files": {"sweep": str(path)}, "rows": len(rows), "failedCells": n_failed}
-    print(json.dumps(manifest, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _print_manifest(manifest)
 
 
 def _cmd_export_plot_data(args) -> int:
     case = _load_case(args.case, args.mode)
     out = _out_dir(args.out)
     if args.paper_params:
-        if case.paper_F is None or case.paper_theta is None:
-            raise report.MissingPublishedSolution(
-                f"case {case.id!r} bundles no published solution polynomials"
-            )
-        F_series = case.paper_F
-        theta_series = case.paper_theta
+        solution = report.published_solution(case, args.h)
     else:
-        vel_spec = velocity_objective_spec(case.params)
-        vel_fit = fit(vel_spec, case.params)
-        F_series = velocity_solution(case.params, vel_fit.parameters).assembled
-        th_spec = thermal_objective_spec(
-            case.params, mode=case.mode, velocity_polynomial=F_series
-        )
-        th_fit = fit(th_spec, case.params)
-        theta_series = thermal_solution(
-            case.params, th_fit.parameters, mode=case.mode
-        ).assembled
-    vel = shoot_velocity(case.params, h=args.h)
-    th = shoot_thermal(case.params, vel, h=args.h)
+        solution = report.solve_case(case, args.h)
     manifest = {"case": case.id, "files": {}}
-    for problem, series, oracle in (
-        ("velocity", F_series, vel),
-        ("thermal", theta_series, th),
-    ):
+    if solution.fits:
+        manifest["converged"] = solution.converged
+    for problem, series in solution.series.items():
+        oracle = solution.oracles[problem]
         if args.format == "csv":
             path = out / f"plot_{problem}_{case.id}.csv"
             report.write_plot_csv(path, series, oracle)
@@ -252,8 +204,7 @@ def _cmd_export_plot_data(args) -> int:
                 path, {"case": case.id, "problem": problem, "points": points}
             )
         manifest["files"][problem] = str(path)
-    print(json.dumps(manifest, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _print_manifest(manifest)
 
 
 def _add_common(parser: argparse.ArgumentParser, with_case: bool = True) -> None:
@@ -284,14 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-case", help="full pipeline for one case")
     _add_common(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--fit",
-        action="store_true",
-        default=True,
-        help="identify parameters by least squares (default)",
-    )
-    group.add_argument(
+    p.add_argument(
         "--paper-params",
         action="store_true",
         help="evaluate the bundled published solution polynomials instead of fitting",

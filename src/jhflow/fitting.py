@@ -150,26 +150,30 @@ def assemble(values: Sequence[float], spec: ObjectiveSpec, params: FlowParams):
     return thermal_solution(params, named, mode=spec.mode)
 
 
-def residual_polynomial(
-    values: Sequence[float], spec: ObjectiveSpec, params: FlowParams
+def _defect(
+    series: LaurentPoly, spec: ObjectiveSpec, params: FlowParams
 ) -> LaurentPoly:
-    """Defect of the governing equation at the assembled solution."""
-    solution = assemble(values, spec, params)
+    """Defect of the governing equation of spec's problem at a series."""
     if spec.problem == "velocity":
-        return residual_velocity(solution.assembled, params)
+        return residual_velocity(series, params)
     carrier = spec.velocity_polynomial
     if carrier is None:
         carrier = velocity_seed()
-    return residual_thermal(solution.assembled, carrier, params)
+    return residual_thermal(series, carrier, params)
+
+
+def _weighted(defect: LaurentPoly, spec: ObjectiveSpec) -> np.ndarray:
+    """sqrt(w_q) * R(eta_q) / normalization; objective is its squared norm."""
+    samples = defect.evaluate(np.asarray(spec.nodes)) / spec.normalization
+    return np.sqrt(np.asarray(spec.weights)) * samples
 
 
 def residual_vector(
     values: Sequence[float], spec: ObjectiveSpec, params: FlowParams
 ) -> np.ndarray:
-    """sqrt(w_q) * R(eta_q) / normalization; objective is its squared norm."""
-    poly = residual_polynomial(values, spec, params)
-    samples = poly.evaluate(np.asarray(spec.nodes)) / spec.normalization
-    return np.sqrt(np.asarray(spec.weights)) * samples
+    """The weighted defect (_weighted) at the assembled solution."""
+    series = assemble(values, spec, params).assembled
+    return _weighted(_defect(series, spec, params), spec)
 
 
 def _lead_index(spec: ObjectiveSpec) -> int:
@@ -185,37 +189,35 @@ def _stage_basis(spec: ObjectiveSpec, params: FlowParams) -> list[LaurentPoly]:
     correction is L times a fixed polynomial a.  The second correction is a
     sum of fixed polynomials b_k, weighted by L*Ck for the velocity (its
     right-hand side is bilinear in u1 and the multiplier) and by Ck for the
-    temperature (its multiplier divides by C8).  The seed expansion does not
-    depend on the constants.  The columns are read off the stage solution
-    at the zero vector (u0), at L = 1 (u1 = a) and at L = Ck = 1 (u2 = b_k),
-    in the order of spec.parameter_names.
+    temperature (its multiplier divides by C8).  The seed does not depend
+    on the constants.  The columns are read off the stage solution at L = 1
+    (u0 and u1 = a) and at L = Ck = 1 (u2 = b_k), in the order of
+    spec.parameter_names.
     """
     unit = np.eye(len(spec.parameter_names))
     lead = _lead_index(spec)
-    columns = [assemble(np.zeros_like(unit[lead]), spec, params).u0]
+    first = assemble(unit[lead], spec, params)
+    columns = [first.u0]
     for k, row in enumerate(unit):
-        if k == lead:
-            columns.append(assemble(row, spec, params).u1)
-        else:
-            columns.append(assemble(unit[lead] + row, spec, params).u2)
+        stage = first.u1 if k == lead else assemble(unit[lead] + row, spec, params).u2
+        columns.append(stage)
     return columns
 
 
 def _velocity_residual_from_basis(
-    spec: ObjectiveSpec, params: FlowParams
+    spec: ObjectiveSpec, params: FlowParams, columns: Sequence[LaurentPoly]
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """residual_vector of a velocity spec and its Jacobian, as functions of z.
 
     z holds C1 in C1's slot and C1*Ck in the slot of every other Ck, so the
-    series is u0 plus the stage-basis columns weighted by z.  F, F' and
-    F''' of each column are sampled once at the nodes, so every evaluation
-    after that is a few small matrix products.  With c = (1, z) the
+    series is u0 plus the columns of _stage_basis weighted by z.  F, F'
+    and F''' of each column are sampled once at the nodes, so every
+    evaluation after that is a few small matrix products.  With c = (1, z) the
     residual S*(F'''c + A*(Fc)*(F'c) + B*F'c) is quadratic in z, so its
     Jacobian S*(F''' + A*(diag(F'c) F + diag(Fc) F') + B*F'), without the
     column of the constant 1, is exact.
     """
     eta = np.asarray(spec.nodes)
-    columns = _stage_basis(spec, params)
     F, dF, d3F = (
         np.column_stack([c.differentiate(k).evaluate(eta) for c in columns])
         for k in (0, 1, 3)
@@ -233,25 +235,24 @@ def _velocity_residual_from_basis(
     return fun
 
 
-def _thermal_least_squares(spec: ObjectiveSpec, params: FlowParams) -> np.ndarray:
+def _thermal_least_squares(
+    spec: ObjectiveSpec, params: FlowParams, columns: Sequence[LaurentPoly]
+) -> np.ndarray:
     """The parameters that minimize a thermal objective, by one lstsq solve.
 
     residual_thermal is affine in theta, so the weighted defect of
     u0 + sum_k Ck*column_k is r0 + M @ C: r0 is the defect of u0, and each
     column of M is the defect of a stage-basis column less that of theta = 0.
     """
-    carrier = spec.velocity_polynomial
-    if carrier is None:
-        carrier = velocity_seed()
     eta = np.asarray(spec.nodes)
     scale = np.sqrt(np.asarray(spec.weights)) / spec.normalization
 
     def weighted(theta: LaurentPoly) -> np.ndarray:
-        return scale * residual_thermal(theta, carrier, params).evaluate(eta)
+        return scale * _defect(theta, spec, params).evaluate(eta)
 
-    seed, *columns = _stage_basis(spec, params)
+    seed, *rest = columns
     source = weighted(LaurentPoly.zero())
-    M = np.column_stack([weighted(c) - source for c in columns])
+    M = np.column_stack([weighted(c) - source for c in rest])
     return np.linalg.lstsq(M, -weighted(seed), rcond=None)[0]
 
 
@@ -277,13 +278,14 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one minimization."""
+    """Outcome of one minimization; series is the fitted polynomial."""
 
     parameters: dict[str, float]
     objective_value: float
     iterations: int
     converged: bool
     residual_profile: tuple[float, ...]
+    series: LaurentPoly
     iteration_log: tuple[IterationRecord, ...] = field(repr=False, default=())
 
     def to_record(self, case_id: str, problem: str, max_grid_error: float) -> dict:
@@ -372,30 +374,38 @@ def fit(spec: ObjectiveSpec, params: FlowParams) -> FitResult:
     Jacobian.  The result is mapped back to C1 = z1, Ck = zk/z1, or to
     zeros when z1 = 0.  Both fits are deterministic.
 
-    The returned objective value is recomputed from scratch through
-    objective at the fitted parameters rather than reusing the
-    optimizer's running value.
+    The returned series is the seed plus the stage-basis columns weighted
+    by the fitted coefficients (z, or C8..C13), which is the assembled
+    series at the returned parameters.  The objective value and the
+    101-point residual profile are computed from that series, not taken
+    from the optimizer's running value.
     """
+    columns = _stage_basis(spec, params)
     if spec.problem == "thermal":
-        x, iters, converged, log = _thermal_least_squares(spec, params), 0, True, []
+        coefficients = x = _thermal_least_squares(spec, params, columns)
+        iters, converged, log = 0, True, []
     else:
         lead = _lead_index(spec)
-        z, iters, converged, log = levenberg_marquardt(
-            _velocity_residual_from_basis(spec, params),
+        coefficients, iters, converged, log = levenberg_marquardt(
+            _velocity_residual_from_basis(spec, params, columns),
             np.zeros(len(spec.parameter_names)),
         )
-        x = z / z[lead] if z[lead] != 0.0 else np.zeros_like(z)
-        x[lead] = z[lead]
-    named = dict(zip(spec.parameter_names, (float(v) for v in x)))
-    final_value = objective(named, spec, params)
-    profile_grid = np.linspace(0.0, 1.0, 101)
-    profile = residual_polynomial(x, spec, params).evaluate(profile_grid)
-    profile = profile / spec.normalization
+        if coefficients[lead] == 0.0:  # C1 = 0 cancels both corrections
+            coefficients = np.zeros_like(coefficients)
+        x = coefficients / (coefficients[lead] or 1.0)
+        x[lead] = coefficients[lead]
+    series = sum(
+        (float(v) * column for v, column in zip(coefficients, columns[1:])), columns[0]
+    )
+    defect = _defect(series, spec, params)
+    r = _weighted(defect, spec)
+    profile = defect.evaluate(np.linspace(0.0, 1.0, 101)) / spec.normalization
     return FitResult(
-        parameters=named,
-        objective_value=final_value,
+        parameters=dict(zip(spec.parameter_names, (float(v) for v in x))),
+        objective_value=float(r @ r),
         iterations=iters,
         converged=converged,
         residual_profile=tuple(float(v) for v in profile),
+        series=series,
         iteration_log=tuple(log),
     )

@@ -28,6 +28,7 @@ from .engine import (
     AuxFunction,
     BoundaryCondition,
     LinearProblemSpec,
+    MissingParameter,
     NonlinearExpansion,
     StageSolution,
     run_stages,
@@ -42,7 +43,6 @@ __all__ = [
     "FlowParams",
     "ThermalConstants",
     "ValidationError",
-    "ZeroC8WithStageTwo",
     "VELOCITY_PARAM_NAMES",
     "THERMAL_PARAM_NAMES",
     "velocity_problem_spec",
@@ -77,10 +77,6 @@ THERMAL_PARAM_NAMES = ("C8", "C9", "C10", "C11", "C12", "C13")
 
 class ValidationError(ValueError):
     """A physical parameter is outside its admissible range."""
-
-
-class ZeroC8WithStageTwo(ValueError):
-    """The second thermal multiplier divides by C8, so C8 must be nonzero."""
 
 
 @dataclass(frozen=True)
@@ -256,23 +252,18 @@ def build_velocity_aux_set(params: FlowParams) -> tuple[AuxFunction, AuxFunction
     return (h0, h1, h2)
 
 
-def build_thermal_aux_set(c8: float, stage_two: bool = True) -> tuple[AuxFunction, ...]:
+def build_thermal_aux_set() -> tuple[AuxFunction, AuxFunction]:
     """Multipliers for the thermal corrections.
 
     First correction: h0 = -30*C8.  Second correction: h1 carries
-    (C9 + C10*eta + ... + C13*eta^4)/C8; the division is deferred to
-    application time, so the current C8 value is required and must be
-    nonzero whenever the second stage is wanted.
+    C9 + C10*eta + ... + C13*eta^4, undivided.  The published multiplier
+    is h1/C8, and thermal_solution applies that division by running the
+    stages at C8 = 1.
     """
     h0 = AuxFunction(basis=(("C8", LaurentPoly.constant(-30.0)),))
-    if not stage_two:
-        return (h0,)
-    if c8 == 0.0:
-        raise ZeroC8WithStageTwo("the second thermal multiplier divides by C8")
-    inv = 1.0 / float(c8)
     h1 = AuxFunction(
         basis=tuple(
-            (name, LaurentPoly.monomial(j, inv))
+            (name, LaurentPoly.monomial(j))
             for j, name in enumerate(("C9", "C10", "C11", "C12", "C13"))
         )
     )
@@ -321,20 +312,26 @@ def thermal_solution(
     """Seed plus two corrections of the thermal problem at parameters c.
 
     The remainder is expanded with the velocity frozen at its seed
-    1 - eta^2 unless another carrier is supplied.  With C8 = 0 the first
-    correction vanishes identically, so the second stage (whose multiplier
-    divides by C8) is skipped and contributes zero.
+    1 - eta^2 unless another carrier is supplied.  The second multiplier
+    (C9 + ... + C13*eta^4)/C8 weights the first correction, which is C8
+    times a fixed polynomial a, so C8 cancels from the second correction.
+    The stages therefore run once at C8 = 1 and the first correction is
+    scaled by C8 afterwards: theta = u0 + C8*a + sum_j Cj*b_j, continuous
+    in C8, also through C8 = 0.
     """
     _check_mode(mode)
-    spec = thermal_problem_spec(mode)
+    if "C8" not in c:
+        raise MissingParameter("the first thermal multiplier needs parameter 'C8'")
     carrier = velocity_seed() if F0 is None else F0
-    c8 = float(c.get("C8", 0.0))
-    aux = build_thermal_aux_set(c8, stage_two=(c8 != 0.0))
-    return run_stages(
-        spec,
+    stages = run_stages(
+        thermal_problem_spec(mode),
         lambda t0: thermal_nonlinear(params, carrier, t0, mode),
-        aux,
-        c,
+        build_thermal_aux_set(),
+        {**c, "C8": 1.0},
+    )
+    u1 = float(c["C8"]) * stages.u1
+    return StageSolution(
+        u0=stages.u0, u1=u1, u2=stages.u2, assembled=stages.u0 + u1 + stages.u2
     )
 
 

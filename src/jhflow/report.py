@@ -1,5 +1,7 @@
 """Artifact generation: comparison tables, plot data, reproduction, sweeps.
 
+solve_case is the one case pipeline (velocity fit, thermal fit on the
+fitted velocity, both oracles) behind run-case, fit and export-plot-data.
 Everything here writes deterministic flat files: the same inputs give
 byte-identical output.  Numbers are printed with 12 significant digits in
 CSV and full round-trip precision in JSON.
@@ -10,7 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -18,14 +20,13 @@ import numpy as np
 
 from . import cases as case_data
 from . import tables as table_data
-from .fitting import fit, thermal_objective_spec, velocity_objective_spec
+from .fitting import FitResult, fit, thermal_objective_spec, velocity_objective_spec
 from .model import (
     MODE_SCALE_CONSISTENT,
     FlowParams,
     thermal_constants_derived,
     thermal_constants_stated,
     thermal_nonlinear,
-    thermal_solution,
     velocity_seed,
     velocity_solution,
 )
@@ -162,6 +163,77 @@ def write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+@dataclass(frozen=True)
+class CaseSolution:
+    """The velocity and temperature series of one case, with their oracles.
+
+    Every mapping is keyed by problem, "velocity" then "thermal".  fits
+    holds the identifications that the series come from; it is empty when
+    the series are the case's published polynomials.
+    """
+
+    series: dict[str, LaurentPoly]
+    oracles: dict[str, OracleSolution]
+    fits: dict[str, FitResult] = field(default_factory=dict)
+
+    @property
+    def converged(self) -> dict[str, bool]:
+        return {problem: result.converged for problem, result in self.fits.items()}
+
+
+def _shoot_oracles(params: FlowParams, h: float) -> dict[str, OracleSolution]:
+    """Both oracles of one parameter set, from a single velocity shot."""
+    velocity = shoot_velocity(params, h=h)
+    return {"velocity": velocity, "thermal": shoot_thermal(params, velocity, h=h)}
+
+
+def solve_case(
+    case: case_data.CaseDefinition, h: float, quadrature: str = "gauss"
+) -> CaseSolution:
+    """Both identifications of a case and the oracles that judge them.
+
+    The velocity is fitted first, and the thermal objective carries the
+    fitted velocity series, because the temperature equation rides on F.
+    The velocity is shot once for both oracles.
+    """
+    params = case.params
+    oracles = _shoot_oracles(params, h)
+    velocity = fit(velocity_objective_spec(params, quadrature=quadrature), params)
+    th_spec = thermal_objective_spec(
+        params,
+        mode=case.mode,
+        velocity_polynomial=velocity.series,
+        quadrature=quadrature,
+    )
+    fits = {"velocity": velocity, "thermal": fit(th_spec, params)}
+    return CaseSolution({p: r.series for p, r in fits.items()}, oracles, fits)
+
+
+def published_solution(case: case_data.CaseDefinition, h: float) -> CaseSolution:
+    """The case's published solution polynomials with its oracles."""
+    if case.paper_F is None or case.paper_theta is None:
+        raise MissingPublishedSolution(
+            f"case {case.id!r} bundles no published solution polynomials"
+        )
+    series = {"velocity": case.paper_F, "thermal": case.paper_theta}
+    return CaseSolution(series, _shoot_oracles(case.params, h))
+
+
+def write_fit_record(
+    out_dir, case_id: str, problem: str, solution: CaseSolution
+) -> Path:
+    """Write fit_<problem>_<case>.json under out_dir and return its path.
+
+    The record holds the fit and the largest miss of its series against
+    the oracle at COMPARISON_ETAS.
+    """
+    series, oracle = solution.series[problem], solution.oracles[problem]
+    grid_err = max(abs(series.evaluate(e) - oracle.at(e, 0)) for e in COMPARISON_ETAS)
+    path = Path(out_dir) / f"fit_{problem}_{case_id}.json"
+    write_json(path, solution.fits[problem].to_record(case_id, problem, grid_err))
+    return path
+
+
 def run_case(
     case: case_data.CaseDefinition,
     out_dir,
@@ -170,58 +242,24 @@ def run_case(
 ) -> dict:
     """Oracle, parameter identification (or plug-in), and artifact files.
 
-    Returns a manifest of written paths plus headline deviations.  In
-    plug-in mode the bundled published solution polynomials stand in for
-    fitted series and no fit records are written.
+    Returns a manifest of written paths plus headline deviations; a fitted
+    run also records whether each fit converged.  In plug-in mode the
+    bundled published solution polynomials stand in for fitted series and
+    no fit records are written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params = case.params
-    vel_oracle = shoot_velocity(params, h=h)
-    th_oracle = shoot_thermal(params, vel_oracle, h=h)
-    manifest: dict = {
-        "case": case.id,
-        "source": "published-solution" if use_paper_params else "fit",
-        "files": {},
-        "maxAbsError": {},
-    }
+    solution = published_solution(case, h) if use_paper_params else solve_case(case, h)
+    source = "published-solution" if use_paper_params else "fit"
+    manifest: dict = {"case": case.id, "source": source, "files": {}, "maxAbsError": {}}
+    for problem in solution.fits:
+        path = write_fit_record(out, case.id, problem, solution)
+        manifest["files"][f"fit_{problem}"] = str(path)
+    if solution.fits:
+        manifest["converged"] = solution.converged
 
-    if use_paper_params:
-        if case.paper_F is None or case.paper_theta is None:
-            raise MissingPublishedSolution(
-                f"case {case.id!r} bundles no published solution polynomials"
-            )
-        F_series = case.paper_F
-        theta_series = case.paper_theta
-        source = "published-solution"
-    else:
-        vel_spec = velocity_objective_spec(params)
-        vel_fit = fit(vel_spec, params)
-        F_series = velocity_solution(params, vel_fit.parameters).assembled
-        th_spec = thermal_objective_spec(
-            params, mode=case.mode, velocity_polynomial=F_series
-        )
-        th_fit = fit(th_spec, params)
-        theta_series = thermal_solution(
-            params, th_fit.parameters, mode=case.mode
-        ).assembled
-        source = "fit"
-        for problem, result, series, oracle, comp in (
-            ("velocity", vel_fit, F_series, vel_oracle, "F"),
-            ("thermal", th_fit, theta_series, th_oracle, "theta"),
-        ):
-            grid_err = max(
-                abs(series.evaluate(e) - oracle.at(e, comp)) for e in COMPARISON_ETAS
-            )
-            record = result.to_record(case.id, problem, grid_err)
-            path = out / f"fit_{problem}_{case.id}.json"
-            write_json(path, record)
-            manifest["files"][f"fit_{problem}"] = str(path)
-
-    for problem, series, oracle in (
-        ("velocity", F_series, vel_oracle),
-        ("thermal", theta_series, th_oracle),
-    ):
+    for problem, series in solution.series.items():
+        oracle = solution.oracles[problem]
         rows = comparison_rows(case.id, problem, series, oracle)
         cmp_path = out / f"comparison_{problem}_{case.id}.csv"
         write_comparison_csv(cmp_path, rows)

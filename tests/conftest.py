@@ -11,7 +11,6 @@ import pytest
 
 from jhflow.cases import CASE_IDS, get_case
 from jhflow.fitting import fit, thermal_objective_spec, velocity_objective_spec
-from jhflow.model import thermal_solution, velocity_solution
 
 
 @pytest.fixture(scope="session")
@@ -38,17 +37,16 @@ def thermal_fits(velocity_fits):
     out = {}
     for case_id, entry in velocity_fits.items():
         case = entry["case"]
-        profile = velocity_solution(case.params, entry["result"].parameters).assembled
+        profile = entry["result"].series
         spec = thermal_objective_spec(case.params, velocity_polynomial=profile)
         started = time.perf_counter()
         result = fit(spec, case.params)
-        theta = thermal_solution(case.params, result.parameters).assembled
         out[case_id] = {
             "case": case,
             "spec": spec,
             "result": result,
             "velocity_polynomial": profile,
-            "theta": theta,
+            "theta": result.series,
             "seconds": time.perf_counter() - started,
         }
     return out

@@ -26,6 +26,7 @@ from jhflow.cases import (
     paper_solution_velocity,
 )
 from jhflow.fitting import (
+    _stage_basis,
     _velocity_residual_from_basis,
     levenberg_marquardt,
     velocity_objective_spec,
@@ -381,7 +382,7 @@ def test_criterion_8_property_families(tmp_path, capsys):
         if max(abs(theta.evaluate(1.0)), abs(theta.differentiate().evaluate(0.0))) > 1e-12:
             failures.append("boundary-conditions")
             break
-        th0 = build_thermal_aux_set(tvals["C8"], stage_two=False)[0].assemble(tvals)
+        th0 = build_thermal_aux_set()[0].assemble(tvals)
         tres1 = tsol.u1.differentiate(2) + th0 * thermal_nonlinear(
             params51, velocity_seed(), thermal_seed()
         ).value
@@ -393,7 +394,9 @@ def test_criterion_8_property_families(tmp_path, capsys):
     # Optimizer acceptance is monotone along its own log.
     spec = velocity_objective_spec(params51)
     _, _, _, log = levenberg_marquardt(
-        _velocity_residual_from_basis(spec, params51), [0.0] * 7, max_iterations=25
+        _velocity_residual_from_basis(spec, params51, _stage_basis(spec, params51)),
+        [0.0] * 7,
+        max_iterations=25,
     )
     accepted = [rec.objective for rec in log if rec.accepted]
     if not accepted or any(b > a for a, b in zip(accepted, accepted[1:])):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import jhflow
+from jhflow import fitting
 from jhflow.cases import CASE_IDS, case_to_dict, get_case
 from jhflow.cli import (
     EXIT_INVALID,
@@ -315,7 +317,7 @@ def test_fit_shoots_velocity_once(tmp_path, capsys, monkeypatch):
         calls.append(args)
         return shoot_velocity(*args, **kwargs)
 
-    monkeypatch.setattr("jhflow.cli.shoot_velocity", counted)
+    monkeypatch.setattr("jhflow.report.shoot_velocity", counted)
     code, _, _ = run_cli(
         capsys,
         "fit", "--case", "5.7", "--problem", "both",
@@ -323,6 +325,28 @@ def test_fit_shoots_velocity_once(tmp_path, capsys, monkeypatch):
     )
     assert code == EXIT_OK
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["run-case", "fit", "export-plot-data"])
+def test_unconverged_fit_writes_files_then_exits_3(command, tmp_path, capsys, monkeypatch):
+    # One LM iteration cannot converge.  Every subcommand that fits still
+    # writes its files and prints its manifest, and only then exits 3.
+    capped = functools.partial(fitting.levenberg_marquardt, max_iterations=1)
+    monkeypatch.setattr(fitting, "levenberg_marquardt", capped)
+    code, out, err = run_cli(
+        capsys, command, "--case", "5.2", "--h", "1e-2", "--out", str(tmp_path)
+    )
+    assert code == EXIT_NUMERICAL
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["exitCode"] == EXIT_NUMERICAL
+    assert error["message"] == "fit did not converge: velocity"
+    manifest = json.loads(out)
+    assert manifest["converged"] == {"velocity": False, "thermal": True}
+    assert manifest["files"]
+    for path in manifest["files"].values():
+        assert Path(path).stat().st_size > 0
 
 
 @pytest.mark.parametrize("step", ["0", "nan", "inf", "-1e-3", "1e-8", "0.3", "abc"])

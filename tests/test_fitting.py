@@ -9,6 +9,7 @@ from jhflow.cases import CASE_IDS, PAPER_PARAMS_VELOCITY, get_case
 from jhflow.fitting import (
     FitResult,
     ObjectiveSpec,
+    _stage_basis,
     _velocity_residual_from_basis,
     fit,
     gauss_legendre_01,
@@ -19,7 +20,13 @@ from jhflow.fitting import (
     uniform_collocation,
     velocity_objective_spec,
 )
-from jhflow.model import THERMAL_MODES, THERMAL_PARAM_NAMES, FlowParams, thermal_solution
+from jhflow.model import (
+    THERMAL_MODES,
+    THERMAL_PARAM_NAMES,
+    FlowParams,
+    thermal_solution,
+    velocity_solution,
+)
 
 CASE52 = get_case("5.2")
 
@@ -167,7 +174,7 @@ def test_basis_velocity_residual_matches_residual_vector(case_id):
     # objective, not an approximation.
     params = get_case(case_id).params
     spec = velocity_objective_spec(params)
-    basis = _velocity_residual_from_basis(spec, params)
+    basis = _velocity_residual_from_basis(spec, params, _stage_basis(spec, params))
     for x in basis_check_points():
         reference = residual_vector(x, spec, params)
         r, _ = basis(products(x))
@@ -179,7 +186,7 @@ def test_basis_velocity_jacobian_matches_central_difference(case_id):
     # r is quadratic in z, so a central difference is exact up to rounding.
     params = get_case(case_id).params
     spec = velocity_objective_spec(params)
-    basis = _velocity_residual_from_basis(spec, params)
+    basis = _velocity_residual_from_basis(spec, params, _stage_basis(spec, params))
     for x in basis_check_points():
         z = products(x)
         _, J = basis(z)
@@ -312,7 +319,8 @@ def test_fit_velocity_is_a_minimum(velocity_fits, case_id):
     spec, params, result = entry["spec"], entry["case"].params, entry["result"]
     assert result.converged
     c = np.array([result.parameters[name] for name in spec.parameter_names])
-    r, J = _velocity_residual_from_basis(spec, params)(products(c))
+    fun = _velocity_residual_from_basis(spec, params, _stage_basis(spec, params))
+    r, J = fun(products(c))
     cosines = np.abs(J.T @ r) / (np.linalg.norm(J, axis=0) * np.linalg.norm(r))
     assert np.max(cosines) <= 1e-10
     best = result.objective_value
@@ -320,6 +328,20 @@ def test_fit_velocity_is_a_minimum(velocity_fits, case_id):
         for sign in (1.0, -1.0):
             moved = {**result.parameters, name: value * (1.0 + sign * 1e-6)}
             assert objective(moved, spec, params) >= best, f"{name} {sign:+}"
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_fit_series_is_the_assembled_series(velocity_fits, thermal_fits, case_id):
+    # fit returns u0 plus its stage-basis columns weighted by the fitted
+    # coefficients; that is the stage solution at the fitted parameters.
+    eta = np.linspace(0.0, 1.0, 101)
+    vel, th = velocity_fits[case_id]["result"], thermal_fits[case_id]["result"]
+    params = velocity_fits[case_id]["case"].params
+    F = velocity_solution(params, vel.parameters).assembled.evaluate(eta)
+    assert np.max(np.abs(vel.series.evaluate(eta) - F)) <= 1e-13
+    mode = thermal_fits[case_id]["spec"].mode
+    theta = thermal_solution(params, th.parameters, mode=mode).assembled.evaluate(eta)
+    assert np.max(np.abs(th.series.evaluate(eta) - theta)) <= 1e-13 * np.max(np.abs(theta))
 
 
 def test_fit_objective_value_is_recomputed(velocity_fits):
@@ -331,7 +353,7 @@ def test_fit_objective_value_is_recomputed(velocity_fits):
 
 def test_fit_iteration_cap_reports_unconverged():
     spec = velocity_objective_spec(CASE52.params)
-    fun = _velocity_residual_from_basis(spec, CASE52.params)
+    fun = _velocity_residual_from_basis(spec, CASE52.params, _stage_basis(spec, CASE52.params))
     _, iterations, converged, _ = levenberg_marquardt(fun, np.zeros(7), max_iterations=1)
     assert iterations == 1
     assert not converged

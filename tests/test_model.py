@@ -9,8 +9,9 @@ from jhflow.model import (
     MODE_PAPER,
     MODE_SCALE_CONSISTENT,
     FlowParams,
+    THERMAL_MODES,
+    THERMAL_PARAM_NAMES,
     ValidationError,
-    ZeroC8WithStageTwo,
     build_thermal_aux_set,
     build_velocity_aux_set,
     residual_thermal,
@@ -182,18 +183,11 @@ def test_velocity_aux_structure():
 
 
 def test_thermal_aux_structure():
-    h0, h1 = build_thermal_aux_set(2.0)
+    h0, h1 = build_thermal_aux_set()
     assert h0.assemble({"C8": 1.5}) == LaurentPoly.constant(-45.0)
     assert h1.parameter_names() == ("C9", "C10", "C11", "C12", "C13")
     built = h1.assemble({"C9": 2.0, "C10": 0.0, "C11": 0.0, "C12": 0.0, "C13": 4.0})
-    assert built == LaurentPoly({0: 1.0, 4: 2.0})  # divided by C8 = 2
-
-
-def test_thermal_aux_zero_c8():
-    with pytest.raises(ZeroC8WithStageTwo):
-        build_thermal_aux_set(0.0)
-    only_first = build_thermal_aux_set(0.0, stage_two=False)
-    assert len(only_first) == 1
+    assert built == LaurentPoly({0: 2.0, 4: 4.0})  # not divided by C8
 
 
 # -- assembled solutions --------------------------------------------------------
@@ -263,12 +257,27 @@ def test_thermal_first_correction_stage_equation():
     assert worst < 1e-10
 
 
-def test_thermal_solution_without_c8_skips_stage_two():
+@pytest.mark.parametrize("mode", THERMAL_MODES)
+def test_thermal_solution_is_continuous_in_c8(mode):
+    # theta = u0 + C8*a + sum_j Cj*b_j: C8 only scales the first correction,
+    # so theta neither jumps nor overflows as C8 passes through 0, and C9
+    # still acts at C8 = 0.
     p = FlowParams(alpha=math.pi / 36, Re=50.0, H=250.0, Pr=1.0, beta=1e-2)
-    sol = thermal_solution(p, {"C8": 0.0, "C9": 5.0}, mode=MODE_PAPER)
-    assert sol.u1 == ZERO
-    assert sol.u2 == ZERO
-    assert sol.assembled == sol.u0
+    eta = np.linspace(0.0, 1.0, 11)
+
+    def stages(c8):
+        c = {**dict.fromkeys(THERMAL_PARAM_NAMES, 0.0), "C8": c8, "C9": 5.0}
+        return thermal_solution(p, c, mode=mode)
+
+    at_zero = stages(0.0)
+    assert at_zero.u1 == ZERO
+    assert at_zero.u2 != ZERO
+    theta0 = at_zero.assembled.evaluate(eta)
+    a = np.max(np.abs(stages(1.0).u1.evaluate(eta)))
+    rounding = 1e-14 * np.max(np.abs(theta0))
+    for c8 in (1e-6, 1e-300, 5e-324, -1e-300):
+        gap = np.max(np.abs(stages(c8).assembled.evaluate(eta) - theta0))
+        assert gap <= abs(c8) * a + rounding, c8
 
 
 # -- residuals ------------------------------------------------------------------
