@@ -2,9 +2,11 @@
 #
 # The temperature equation is linear in theta with the velocity frozen,
 # so the velocity series is fitted first and handed to the thermal
-# objective.  The temperature series is affine in C8..C13 as well, so the
-# thermal fit is one linear least-squares solve.  Each fit returns the
-# series it fitted, so nothing is re-assembled.  The thermal decomposition
+# objective.  The temperature series is affine in C8..C13 as well: its
+# seed, first correction and one second-correction column per constant
+# come from one stage pass, and the thermal fit is one linear
+# least-squares solve on their samples at the quadrature nodes.  Each fit
+# returns the series it fitted, so nothing is re-assembled.  The thermal decomposition
 # used here is the scale-consistent one: the seed solves the homogeneous
 # stage, so every stage inherits the tiny dissipation scale instead of
 # mixing it with an order-one source.

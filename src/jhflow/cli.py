@@ -196,13 +196,7 @@ def _cmd_export_plot_data(args) -> int:
             report.write_plot_csv(path, series, oracle)
         else:
             path = out / f"plot_{problem}_{case.id}.json"
-            points = [
-                [k / 100.0, series.evaluate(k / 100.0), oracle.at(k / 100.0, 0)]
-                for k in range(101)
-            ]
-            report.write_json(
-                path, {"case": case.id, "problem": problem, "points": points}
-            )
+            report.write_plot_json(path, case.id, problem, series, oracle)
         manifest["files"][problem] = str(path)
     return _print_manifest(manifest)
 

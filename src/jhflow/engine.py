@@ -25,6 +25,7 @@ __all__ = [
     "solve_linear_stage",
     "apply_aux_function",
     "run_stages",
+    "stage_basis",
     "EngineError",
     "SingularBoundarySystem",
     "MissingParameter",
@@ -184,7 +185,10 @@ def apply_aux_function(
     aux: AuxFunction, params: Mapping[str, float], carrier: LaurentPoly
 ) -> LaurentPoly:
     """Multiply the assembled auxiliary polynomial into a stage carrier."""
-    product = aux.assemble(params) * carrier
+    return _pole_free(aux.assemble(params) * carrier)
+
+
+def _pole_free(product: LaurentPoly) -> LaurentPoly:
     if product.min_exponent < 0 and not product.is_zero:
         raise PoleNotCancelled(
             "auxiliary product kept a 1/eta term; the carrier must cancel it"
@@ -244,3 +248,41 @@ def run_stages(
     u2 = solve_linear_stage(spec, rhs2, homogeneous=True)
 
     return StageSolution(u0=u0, u1=u1, u2=u2, assembled=u0 + u1 + u2)
+
+
+def stage_basis(
+    spec: LinearProblemSpec,
+    nonlinear: Callable[[LaurentPoly], NonlinearExpansion],
+    aux_set: Sequence[AuxFunction | None],
+) -> tuple[LaurentPoly, dict[str, LaurentPoly]]:
+    """The seed and one correction column per parameter, in one pass.
+
+    When aux_set[0] carries a single parameter L and no multiplier has a
+    constant part, run_stages gives u1 = L*a and u2 = L*sum_k Ck*b_k with
+    fixed polynomials a and b_k: u1 scales the carriers of the second
+    stage, and each multiplier is linear in its parameters.  This solves
+    u0, a and each b_k once, on the carriers of run_stages at L = 1, and
+    returns u0 with the columns by parameter name: L -> a, Ck -> b_k.  A
+    parameter whose slot run_stages skips gets no column.
+    """
+    if not aux_set or aux_set[0] is None or len(aux_set[0].basis) != 1:
+        raise EngineError("the first correction needs a one-parameter auxiliary function")
+    if any(aux is not None and not aux.constant_part.is_zero for aux in aux_set):
+        raise EngineError("a multiplier with a constant part is not linear in its parameters")
+    u0 = solve_linear_stage(spec)
+    expansion = nonlinear(u0)
+    (lead, lead_shape), = aux_set[0].basis
+    a = solve_linear_stage(spec, _pole_free(lead_shape * expansion.value), homogeneous=True)
+    columns = {lead: a}
+    derivative = a
+    for j, partial in enumerate(expansion.partials):
+        if j > 0:
+            derivative = derivative.differentiate()
+        slot = 1 + j
+        if partial.is_zero or slot >= len(aux_set) or aux_set[slot] is None:
+            continue
+        carrier = derivative * partial
+        for name, shape in aux_set[slot].basis:
+            rhs = _pole_free(shape * carrier)
+            columns[name] = solve_linear_stage(spec, rhs, homogeneous=True)
+    return u0, columns

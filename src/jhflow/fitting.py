@@ -6,8 +6,12 @@ squared defect of the governing equation over [0, 1], sampled with a fixed
 quadrature rule.  Both series are affine in a known parameter vector, and
 the identification uses that structure:
 
+- The seed and first correction do not depend on the constants and the
+  second correction is one fixed polynomial per constant, so the stage
+  basis comes from one pass of engine.stage_basis.
 - theta = u0 + C8*a + sum_j Cj*b_j and the temperature equation is linear,
-  so the thermal defect is affine in C8..C13 and one linear least-squares
+  so the thermal defect is affine in C8..C13.  It is sampled at the nodes
+  from theta and theta'' of each column, and one linear least-squares
   solve gives the exact minimizer.
 - F = u0 + z1*a + sum_k zk*b_k in the products z = (C1, C1*C2, ..., C1*C7),
   so the velocity defect is quadratic in z and its Jacobian is exact.  One
@@ -24,6 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .engine import stage_basis
 from .model import (
     MODE_SCALE_CONSISTENT,
     THERMAL_PARAM_NAMES,
@@ -32,8 +37,10 @@ from .model import (
     residual_thermal,
     residual_velocity,
     thermal_solution,
+    thermal_stages,
     velocity_seed,
     velocity_solution,
+    velocity_stages,
 )
 from .polyalg import LaurentPoly
 
@@ -120,15 +127,16 @@ def thermal_objective_spec(
     In paper mode the series keeps the unit-size seed of the printed
     decomposition, which the divisor does not scale, so they read about
     6e10 to 6e19; objectives compare within a mode, not across modes.
+    With beta = 0 there is no source to measure against; the divisor is 1.
     """
     nodes, weights = _quadrature(quadrature, n)
-    scale = params.beta * params.Pr * (params.H + 4.0 * params.alpha**2) + 1e-300
+    scale = params.beta * params.Pr * (params.H + 4.0 * params.alpha**2)
     return ObjectiveSpec(
         problem="thermal",
         nodes=nodes,
         weights=weights,
         parameter_names=THERMAL_PARAM_NAMES,
-        normalization=scale,
+        normalization=scale or 1.0,
         mode=mode,
         velocity_polynomial=velocity_polynomial,
     )
@@ -142,24 +150,18 @@ def _quadrature(kind: str, n: int | None):
     raise ValueError(f"unknown quadrature {kind!r}")
 
 
-def assemble(values: Sequence[float], spec: ObjectiveSpec, params: FlowParams):
-    """Stage solution at a raw parameter vector."""
-    named = dict(zip(spec.parameter_names, (float(v) for v in values)))
-    if spec.problem == "velocity":
-        return velocity_solution(params, named)
-    return thermal_solution(params, named, mode=spec.mode)
-
-
 def _defect(
     series: LaurentPoly, spec: ObjectiveSpec, params: FlowParams
 ) -> LaurentPoly:
     """Defect of the governing equation of spec's problem at a series."""
     if spec.problem == "velocity":
         return residual_velocity(series, params)
-    carrier = spec.velocity_polynomial
-    if carrier is None:
-        carrier = velocity_seed()
-    return residual_thermal(series, carrier, params)
+    return residual_thermal(series, _carrier(spec), params)
+
+
+def _carrier(spec: ObjectiveSpec) -> LaurentPoly:
+    """The velocity profile that a thermal objective rides on."""
+    return velocity_seed() if spec.velocity_polynomial is None else spec.velocity_polynomial
 
 
 def _weighted(defect: LaurentPoly, spec: ObjectiveSpec) -> np.ndarray:
@@ -171,37 +173,37 @@ def _weighted(defect: LaurentPoly, spec: ObjectiveSpec) -> np.ndarray:
 def residual_vector(
     values: Sequence[float], spec: ObjectiveSpec, params: FlowParams
 ) -> np.ndarray:
-    """The weighted defect (_weighted) at the assembled solution."""
-    series = assemble(values, spec, params).assembled
+    """The weighted defect (_weighted) of the stage solution at a raw parameter vector."""
+    named = dict(zip(spec.parameter_names, (float(v) for v in values)))
+    if spec.problem == "velocity":
+        series = velocity_solution(params, named).assembled
+    else:
+        series = thermal_solution(params, named, mode=spec.mode).assembled
     return _weighted(_defect(series, spec, params), spec)
 
 
-def _lead_index(spec: ObjectiveSpec) -> int:
-    """Slot of the constant that every correction is proportional to."""
-    names = VELOCITY_PARAM_NAMES if spec.problem == "velocity" else THERMAL_PARAM_NAMES
-    return spec.parameter_names.index(names[0])
-
-
 def _stage_basis(spec: ObjectiveSpec, params: FlowParams) -> list[LaurentPoly]:
-    """Seed u0, then one series column per parameter slot.
+    """Seed u0, then one series column per parameter slot, from one stage pass.
 
     With the lead constant L (C1 or C8) and the others Ck, the first
     correction is L times a fixed polynomial a.  The second correction is a
     sum of fixed polynomials b_k, weighted by L*Ck for the velocity (its
     right-hand side is bilinear in u1 and the multiplier) and by Ck for the
     temperature (its multiplier divides by C8).  The seed does not depend
-    on the constants.  The columns are read off the stage solution at L = 1
-    (u0 and u1 = a) and at L = Ck = 1 (u2 = b_k), in the order of
-    spec.parameter_names.
+    on the constants.  engine.stage_basis solves u0, a and each b_k once;
+    the columns follow spec.parameter_names, a in L's slot and b_k in Ck's.
+    The thermal basis rides on the velocity seed, as thermal_solution does.
     """
-    unit = np.eye(len(spec.parameter_names))
-    lead = _lead_index(spec)
-    first = assemble(unit[lead], spec, params)
-    columns = [first.u0]
-    for k, row in enumerate(unit):
-        stage = first.u1 if k == lead else assemble(unit[lead] + row, spec, params).u2
-        columns.append(stage)
-    return columns
+    if spec.problem == "velocity":
+        u0, columns = stage_basis(*velocity_stages(params))
+    else:
+        u0, columns = stage_basis(*thermal_stages(params, spec.mode))
+    return [u0] + [columns[name] for name in spec.parameter_names]
+
+
+def _sampled(columns: Sequence[LaurentPoly], eta: np.ndarray, order: int) -> np.ndarray:
+    """The order-th derivative of every column at the nodes, one column each."""
+    return np.column_stack([c.differentiate(order).evaluate(eta) for c in columns])
 
 
 def _velocity_residual_from_basis(
@@ -218,10 +220,7 @@ def _velocity_residual_from_basis(
     column of the constant 1, is exact.
     """
     eta = np.asarray(spec.nodes)
-    F, dF, d3F = (
-        np.column_stack([c.differentiate(k).evaluate(eta) for c in columns])
-        for k in (0, 1, 3)
-    )
+    F, dF, d3F = (_sampled(columns, eta, k) for k in (0, 1, 3))
     scale = np.sqrt(np.asarray(spec.weights)) / spec.normalization
     A, B = params.A, params.B
 
@@ -235,25 +234,26 @@ def _velocity_residual_from_basis(
     return fun
 
 
-def _thermal_least_squares(
+def _thermal_residual_from_basis(
     spec: ObjectiveSpec, params: FlowParams, columns: Sequence[LaurentPoly]
-) -> np.ndarray:
-    """The parameters that minimize a thermal objective, by one lstsq solve.
+) -> tuple[np.ndarray, np.ndarray]:
+    """residual_vector of a thermal spec as r0 + M @ C, C = (C8, ..., C13).
 
-    residual_thermal is affine in theta, so the weighted defect of
-    u0 + sum_k Ck*column_k is r0 + M @ C: r0 is the defect of u0, and each
-    column of M is the defect of a stage-basis column less that of theta = 0.
+    residual_thermal is theta'' + coupling*theta + source, with coupling =
+    4 alpha^2 + 2 alpha Re Pr F, so it is linear in theta.  theta and
+    theta'' of each column and F, F' of the carrier are sampled once at the
+    nodes: r0 is the seed's weighted defect, and each column of M is
+    S*(theta'' + coupling*theta) of one basis column.
     """
     eta = np.asarray(spec.nodes)
+    a, pr = params.alpha, params.Pr
+    carrier = _carrier(spec)
+    F, dF = carrier.evaluate(eta), carrier.differentiate().evaluate(eta)
+    coupling = 4.0 * a * a + (2.0 * a * params.Re * pr) * F
+    dissipation = (params.beta * pr) * ((params.H + 4.0 * a * a) * (F * F) + dF * dF)
     scale = np.sqrt(np.asarray(spec.weights)) / spec.normalization
-
-    def weighted(theta: LaurentPoly) -> np.ndarray:
-        return scale * _defect(theta, spec, params).evaluate(eta)
-
-    seed, *rest = columns
-    source = weighted(LaurentPoly.zero())
-    M = np.column_stack([weighted(c) - source for c in rest])
-    return np.linalg.lstsq(M, -weighted(seed), rcond=None)[0]
+    D = scale[:, None] * (_sampled(columns, eta, 2) + coupling[:, None] * _sampled(columns, eta, 0))
+    return D[:, 0] + scale * dissipation, D[:, 1:]
 
 
 def objective(
@@ -365,9 +365,10 @@ def _gradient_converged(r: np.ndarray, J: np.ndarray) -> bool:
 def fit(spec: ObjectiveSpec, params: FlowParams) -> FitResult:
     """Minimizer of the objective: exact for a thermal spec, one LM run for velocity.
 
-    A thermal objective is minimized by one linear least-squares solve
-    (_thermal_least_squares), which reports converged=True after 0
-    iterations.
+    Both start from the one-pass stage basis (_stage_basis).  A thermal
+    objective is minimized by one linear least-squares solve on the node
+    samples of _thermal_residual_from_basis, which reports converged=True
+    after 0 iterations.
 
     A velocity objective is minimized by levenberg_marquardt from z = 0 in
     the products z of _velocity_residual_from_basis, with the exact
@@ -382,10 +383,11 @@ def fit(spec: ObjectiveSpec, params: FlowParams) -> FitResult:
     """
     columns = _stage_basis(spec, params)
     if spec.problem == "thermal":
-        coefficients = x = _thermal_least_squares(spec, params, columns)
+        r0, M = _thermal_residual_from_basis(spec, params, columns)
+        coefficients = x = np.linalg.lstsq(M, -r0, rcond=None)[0]
         iters, converged, log = 0, True, []
     else:
-        lead = _lead_index(spec)
+        lead = spec.parameter_names.index(VELOCITY_PARAM_NAMES[0])
         coefficients, iters, converged, log = levenberg_marquardt(
             _velocity_residual_from_basis(spec, params, columns),
             np.zeros(len(spec.parameter_names)),

@@ -56,6 +56,8 @@ __all__ = [
     "build_thermal_aux_set",
     "residual_velocity",
     "residual_thermal",
+    "velocity_stages",
+    "thermal_stages",
     "velocity_solution",
     "thermal_solution",
     "thermal_constants_stated",
@@ -287,20 +289,30 @@ def residual_thermal(
     return theta.differentiate(2) + coupling * theta + dissipation
 
 
-def velocity_solution(params: FlowParams, c: Mapping[str, float]) -> StageSolution:
-    """Seed plus two corrections of the velocity problem at parameters c.
-
-    The stage basis follows the bundled series construction (see
-    velocity_series_expansion), which is what the published parameter
-    values were fitted against.
-    """
-    spec = velocity_problem_spec()
-    return run_stages(
-        spec,
+def velocity_stages(params: FlowParams) -> tuple:
+    """Spec, remainder (velocity_series_expansion) and multipliers of the velocity series."""
+    return (
+        velocity_problem_spec(),
         lambda f0: velocity_series_expansion(params),
         build_velocity_aux_set(params),
-        c,
     )
+
+
+def thermal_stages(
+    params: FlowParams, mode: str = MODE_SCALE_CONSISTENT, F0: LaurentPoly | None = None
+) -> tuple:
+    """Spec, remainder and multipliers of the thermal series; F is F0 or the seed 1 - eta^2."""
+    carrier = velocity_seed() if F0 is None else F0
+    return (
+        thermal_problem_spec(mode),
+        lambda t0: thermal_nonlinear(params, carrier, t0, mode),
+        build_thermal_aux_set(),
+    )
+
+
+def velocity_solution(params: FlowParams, c: Mapping[str, float]) -> StageSolution:
+    """Seed plus two corrections of the velocity problem at parameters c."""
+    return run_stages(*velocity_stages(params), c)
 
 
 def thermal_solution(
@@ -311,24 +323,16 @@ def thermal_solution(
 ) -> StageSolution:
     """Seed plus two corrections of the thermal problem at parameters c.
 
-    The remainder is expanded with the velocity frozen at its seed
-    1 - eta^2 unless another carrier is supplied.  The second multiplier
-    (C9 + ... + C13*eta^4)/C8 weights the first correction, which is C8
-    times a fixed polynomial a, so C8 cancels from the second correction.
-    The stages therefore run once at C8 = 1 and the first correction is
-    scaled by C8 afterwards: theta = u0 + C8*a + sum_j Cj*b_j, continuous
-    in C8, also through C8 = 0.
+    The second multiplier (C9 + ... + C13*eta^4)/C8 weights the first
+    correction, which is C8 times a fixed polynomial a, so C8 cancels from
+    the second correction.  The stages therefore run once at C8 = 1 and
+    the first correction is scaled by C8 afterwards:
+    theta = u0 + C8*a + sum_j Cj*b_j, continuous in C8, also through C8 = 0.
     """
     _check_mode(mode)
     if "C8" not in c:
         raise MissingParameter("the first thermal multiplier needs parameter 'C8'")
-    carrier = velocity_seed() if F0 is None else F0
-    stages = run_stages(
-        thermal_problem_spec(mode),
-        lambda t0: thermal_nonlinear(params, carrier, t0, mode),
-        build_thermal_aux_set(),
-        {**c, "C8": 1.0},
-    )
+    stages = run_stages(*thermal_stages(params, mode, F0), {**c, "C8": 1.0})
     u1 = float(c["C8"]) * stages.u1
     return StageSolution(
         u0=stages.u0, u1=u1, u2=stages.u2, assembled=stages.u0 + u1 + stages.u2

@@ -111,7 +111,7 @@ def comparison_rows(
     except table_data.MissingTableData:
         pass
     out = []
-    for eta in etas:
+    for eta, ohpm in zip(etas, _values(series, etas)):
         row = paper.get(round(eta, 1))
         if row is None:
             p_num = p_ohpm = p_hpm = None
@@ -124,7 +124,7 @@ def comparison_rows(
             ComparisonRow(
                 eta=eta,
                 numeric=oracle.at(eta, component),
-                ohpm=series.evaluate(eta),
+                ohpm=ohpm,
                 paper_numeric=p_num,
                 paper_ohpm=p_ohpm,
                 paper_hpm=p_hpm,
@@ -138,16 +138,27 @@ def write_comparison_csv(path, rows: Iterable[ComparisonRow]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _values(series: LaurentPoly, etas: Sequence[float]) -> list[float]:
+    """series.evaluate(eta) at every eta, bit for bit, in one array pass."""
+    return series.evaluate(np.asarray(etas, dtype=float)).tolist()
+
+
 def write_plot_csv(path, series: LaurentPoly, oracle: OracleSolution, n: int = 101) -> None:
     """eta, series value, oracle value on a uniform n-point grid."""
-    component = 0
-    grid = np.linspace(0.0, 1.0, n)
+    grid = np.linspace(0.0, 1.0, n).tolist()
     lines = [PLOT_HEADER]
-    for eta in grid:
-        lines.append(
-            ",".join(_fmt(v) for v in (eta, series.evaluate(float(eta)), oracle.at(float(eta), component)))
-        )
+    for eta, value in zip(grid, _values(series, grid)):
+        lines.append(",".join(_fmt(v) for v in (eta, value, oracle.at(eta, 0))))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_plot_json(
+    path, case_id: str, problem: str, series: LaurentPoly, oracle: OracleSolution
+) -> None:
+    """[eta, series value, oracle value] at eta = k/100, k = 0..100, as JSON."""
+    etas = [k / 100.0 for k in range(101)]
+    points = [[e, v, oracle.at(e, 0)] for e, v in zip(etas, _values(series, etas))]
+    write_json(path, {"case": case_id, "problem": problem, "points": points})
 
 
 def solution_payload(case_id: str, problem: str, series: LaurentPoly, source: str) -> dict:
@@ -228,7 +239,8 @@ def write_fit_record(
     the oracle at COMPARISON_ETAS.
     """
     series, oracle = solution.series[problem], solution.oracles[problem]
-    grid_err = max(abs(series.evaluate(e) - oracle.at(e, 0)) for e in COMPARISON_ETAS)
+    values = _values(series, COMPARISON_ETAS)
+    grid_err = max(abs(v - oracle.at(e, 0)) for e, v in zip(COMPARISON_ETAS, values))
     path = Path(out_dir) / f"fit_{problem}_{case_id}.json"
     write_json(path, solution.fits[problem].to_record(case_id, problem, grid_err))
     return path

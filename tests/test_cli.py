@@ -11,14 +11,16 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import jhflow
-from jhflow import fitting
+from jhflow import fitting, report
 from jhflow.cases import CASE_IDS, case_to_dict, get_case
 from jhflow.cli import (
     EXIT_INVALID,
@@ -29,7 +31,7 @@ from jhflow.cli import (
     parse_table_range,
 )
 from jhflow.oracle import ShootingDiverged, shoot_velocity
-from jhflow.polyalg import LaurentPoly
+from jhflow.polyalg import EvalAtPole, LaurentPoly
 
 
 def run_cli(capsys, *argv):
@@ -310,6 +312,29 @@ def test_fit_both_problems_converge(case_id, tmp_path, capsys):
         assert record["converged"] is True, problem
 
 
+def test_fit_without_dissipation_writes_finite_objective(tmp_path, capsys):
+    # beta = 0, the case-file default, leaves the thermal objective without
+    # its dissipation scale; the record must stay valid JSON, with no
+    # overflow warning on the way.
+    case_file = tmp_path / "b0.json"
+    case_file.write_text(json.dumps(
+        {"id": "b0", "alpha": 0.1, "Re": 50, "H": 0, "Pr": 1, "beta": 0, "mode": "paper"}
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "fit", "--case", str(case_file), "--h", "1e-3", "--out", str(tmp_path / "out"),
+        )
+    assert code == EXIT_OK, err
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    text = Path(json.loads(out)["files"]["thermal"]).read_text()
+    record = json.loads(text, parse_constant=reject)
+    assert math.isfinite(record["objective"])
+
+
 def test_fit_shoots_velocity_once(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -544,6 +569,64 @@ def test_export_plot_data_json(tmp_path, capsys):
     assert eta == 0.5
     bundled = get_case("5.2").paper_theta
     assert series == bundled.evaluate(0.5)
+
+
+# The writers evaluate each series once on its whole grid; every value must
+# be the per-point scalar evaluation, bit for bit.
+POLE_SERIES = LaurentPoly({-2: 2e-4, -1: -3e-3, 0: 1.0, 1: 0.25, 2: -1.25})
+
+
+@functools.lru_cache(maxsize=None)
+def coarse_velocity_oracle():
+    return shoot_velocity(get_case("5.2").params, h=1e-2)
+
+
+def polynomial_series():
+    case = get_case("5.2")
+    return [case.paper_F, case.paper_theta, fitting._stage_basis(
+        fitting.velocity_objective_spec(case.params), case.params
+    )[2]]
+
+
+def test_plot_writers_match_scalar_evaluation(tmp_path):
+    oracle = coarse_velocity_oracle()
+    for k, series in enumerate(polynomial_series()):
+        lines = [report.PLOT_HEADER]
+        for eta in np.linspace(0.0, 1.0, 101):
+            values = (eta, series.evaluate(float(eta)), oracle.at(float(eta), 0))
+            lines.append(",".join(report._fmt(v) for v in values))
+        report.write_plot_csv(tmp_path / "plot.csv", series, oracle)
+        assert (tmp_path / "plot.csv").read_text() == "\n".join(lines) + "\n", k
+
+        points = [
+            [i / 100.0, series.evaluate(i / 100.0), oracle.at(i / 100.0, 0)] for i in range(101)
+        ]
+        report.write_json(tmp_path / "want.json", {"case": "c", "problem": "p", "points": points})
+        report.write_plot_json(tmp_path / "plot.json", "c", "p", series, oracle)
+        assert (tmp_path / "plot.json").read_bytes() == (tmp_path / "want.json").read_bytes(), k
+
+
+def test_comparison_rows_match_scalar_evaluation():
+    oracle = coarse_velocity_oracle()
+    cases = [(s, report.COMPARISON_ETAS) for s in polynomial_series()]
+    cases.append((POLE_SERIES, report.COMPARISON_ETAS[1:]))
+    for series, etas in cases:
+        rows = report.comparison_rows("5.2", "velocity", series, oracle, etas)
+        assert [r.ohpm for r in rows] == [series.evaluate(eta) for eta in etas]
+        assert all(type(r.ohpm) is float for r in rows)
+
+
+def test_writers_reject_a_pole_on_the_grid(tmp_path):
+    oracle = coarse_velocity_oracle()
+    with pytest.raises(EvalAtPole):
+        POLE_SERIES.evaluate(0.0)
+    with pytest.raises(EvalAtPole):
+        report.write_plot_csv(tmp_path / "plot.csv", POLE_SERIES, oracle)
+    with pytest.raises(EvalAtPole):
+        report.write_plot_json(tmp_path / "plot.json", "c", "p", POLE_SERIES, oracle)
+    with pytest.raises(EvalAtPole):
+        report.comparison_rows("5.2", "velocity", POLE_SERIES, oracle)
+    assert not list(tmp_path.iterdir())
 
 
 def test_mode_override_round_trips_case_fields(tmp_path, capsys):

@@ -15,6 +15,7 @@ from jhflow.engine import (
     apply_aux_function,
     run_stages,
     solve_linear_stage,
+    stage_basis,
 )
 from jhflow.polyalg import ZERO, LaurentPoly
 
@@ -254,3 +255,43 @@ def test_run_stages_ignores_extra_slots():
     sol = run_stages(spec, quadratic_nonlinearity, aux_set, {"C1": 0.4, "C2": 0.2, "C3": 9.0})
     res2 = sol.u2.differentiate(3) + aux_set[1].assemble({"C2": 0.2}) * sol.u1 * (sol.u0 * 2.0)
     assert max((abs(c) for _, c in res2.terms()), default=0.0) < 1e-9
+
+
+# -- stage_basis --------------------------------------------------------------
+
+
+def test_stage_basis_columns_rebuild_run_stages():
+    # u1 = L*a and u2 = L*sum_k Ck*b_k, so the columns of one pass weight
+    # back to the staged solution at any parameters.
+    spec = third_order_spec()
+    ladder = (("C2", LaurentPoly.monomial(1)), ("C3", LaurentPoly.monomial(-1, 0.5)))
+    aux_set = (
+        AuxFunction(basis=(("C1", LaurentPoly.constant(-2.0)),)),
+        AuxFunction(basis=ladder),
+    )
+    u0, columns = stage_basis(spec, quadratic_nonlinearity, aux_set)
+    assert list(columns) == ["C1", "C2", "C3"]
+    eta = np.linspace(0.0, 1.0, 21)
+    for c in ({"C1": 0.7, "C2": -1.3, "C3": 2.1}, {"C1": -3.0, "C2": 0.25, "C3": 0.0}):
+        sol = run_stages(spec, quadratic_nonlinearity, aux_set, c)
+        assert u0 == sol.u0
+        u1 = c["C1"] * columns["C1"]
+        u2 = c["C1"] * (c["C2"] * columns["C2"] + c["C3"] * columns["C3"])
+        assert np.max(np.abs(u1.evaluate(eta) - sol.u1.evaluate(eta))) <= 1e-13
+        assert np.max(np.abs(u2.evaluate(eta) - sol.u2.evaluate(eta))) <= 1e-12
+
+
+def test_stage_basis_rejects_multipliers_it_cannot_split():
+    spec = third_order_spec()
+    lead = AuxFunction(basis=(("C1", LaurentPoly.constant(1.0)),))
+    with pytest.raises(EngineError):
+        stage_basis(spec, quadratic_nonlinearity, ())
+    with pytest.raises(EngineError):  # two parameters in the first multiplier
+        stage_basis(spec, quadratic_nonlinearity, (AuxFunction(basis=lead.basis * 2),))
+    with pytest.raises(EngineError):  # a constant part is not linear in the parameters
+        shifted = AuxFunction(basis=(("C2", LaurentPoly.monomial(1)),), constant_part=LaurentPoly.constant(1.0))
+        stage_basis(spec, quadratic_nonlinearity, (lead, shifted))
+    with pytest.raises(PoleNotCancelled):  # the carrier has no eta factor to cancel 1/eta
+        forced = second_order_spec(forcing=LaurentPoly.constant(-1.0))
+        pole = AuxFunction(basis=(("C2", LaurentPoly.monomial(-1)),))
+        stage_basis(forced, quadratic_nonlinearity, (lead, pole))

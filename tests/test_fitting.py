@@ -1,15 +1,19 @@
 """Identification layer: quadrature, objective invariants, optimizer behavior."""
 
+import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from jhflow.cases import CASE_IDS, PAPER_PARAMS_VELOCITY, get_case
+from jhflow import engine, model
 from jhflow.fitting import (
     FitResult,
     ObjectiveSpec,
     _stage_basis,
+    _thermal_residual_from_basis,
     _velocity_residual_from_basis,
     fit,
     gauss_legendre_01,
@@ -21,6 +25,8 @@ from jhflow.fitting import (
     velocity_objective_spec,
 )
 from jhflow.model import (
+    MODE_PAPER,
+    MODE_SCALE_CONSISTENT,
     THERMAL_MODES,
     THERMAL_PARAM_NAMES,
     FlowParams,
@@ -195,6 +201,88 @@ def test_basis_velocity_jacobian_matches_central_difference(case_id):
             dz = np.eye(z.size)[j] * step
             central = (basis(z + dz)[0] - basis(z - dz)[0]) / (2.0 * step)
             assert np.max(np.abs(J[:, j] - central)) <= 1e-8 * np.max(np.abs(J)), j
+
+
+def basis_specs(params):
+    """The velocity spec and a thermal spec per mode, by name."""
+    return {
+        "velocity": velocity_objective_spec(params),
+        MODE_SCALE_CONSISTENT: thermal_objective_spec(params, mode=MODE_SCALE_CONSISTENT),
+        MODE_PAPER: thermal_objective_spec(params, mode=MODE_PAPER),
+    }
+
+
+def unit_vector_columns(spec, params):
+    """Basis columns read off the stage solutions at unit parameter vectors.
+
+    The lead constant (C1 or C8) comes first: u0 and a come from the
+    solution at lead = 1, and b_k from the one at lead = Ck = 1.
+    """
+    names = spec.parameter_names
+    unit = np.eye(len(names))
+
+    def solve(values):
+        named = dict(zip(names, values))
+        if spec.problem == "velocity":
+            return velocity_solution(params, named)
+        return thermal_solution(params, named, mode=spec.mode)
+
+    first = solve(unit[0])
+    return [first.u0, first.u1] + [solve(unit[0] + unit[k]).u2 for k in range(1, len(names))]
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_stage_basis_matches_unit_vector_solutions(case_id):
+    # One stage pass gives the same columns, bit for bit, as a full
+    # run_stages per column.
+    params = get_case(case_id).params
+    for kind, spec in basis_specs(params).items():
+        assert _stage_basis(spec, params) == unit_vector_columns(spec, params), kind
+
+
+def test_stage_basis_solves_each_stage_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("run_stages", "solve_linear_stage"):
+        wrapped = counted(name, getattr(engine, name))
+        for module in (engine, model):
+            monkeypatch.setattr(module, name, wrapped)
+    params = CASE52.params
+    for kind, spec in basis_specs(params).items():
+        calls.clear()
+        _stage_basis(spec, params)
+        assert calls["run_stages"] == 0, kind
+        assert 0 < calls["solve_linear_stage"] <= 3 + len(spec.parameter_names), kind
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_basis_thermal_residual_matches_residual_vector(velocity_fits, case_id):
+    # fit solves its thermal least squares on node samples of the basis
+    # columns; r0 + M @ C must be the residual_vector objective.  Both
+    # paths round at the size of the summands r0 and M_j*C_j; at the
+    # fitted C those cancel to a residual up to 1e4 times smaller, so the
+    # tolerance is relative to the largest summand.
+    params = get_case(case_id).params
+    carrier = velocity_fits[case_id]["result"].series
+    rng = np.random.default_rng(17)
+    for mode in THERMAL_MODES:
+        spec = thermal_objective_spec(params, mode=mode, velocity_polynomial=carrier)
+        r0, M = _thermal_residual_from_basis(spec, params, _stage_basis(spec, params))
+        fitted = np.array(list(fit(spec, params).parameters.values()))
+        drawn = [rng.uniform(-1.0, 1.0, size=6) * 10.0 ** rng.uniform(-3, 1, size=6) for _ in range(3)]
+        for c in [fitted] + drawn:
+            reference = residual_vector(c, spec, params)
+            gap = np.max(np.abs(r0 + M @ c - reference))
+            summands = max(np.max(np.abs(r0)), np.max(np.abs(M * c)))
+            assert gap <= 1e-12 * summands, (mode, c)
 
 
 @pytest.mark.parametrize("mode", THERMAL_MODES)
