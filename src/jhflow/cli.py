@@ -10,11 +10,12 @@ sweep               profile values over an (opening angle, H) grid
 export-plot-data    101-point series-vs-oracle profile, CSV or JSON
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure (shooting or
-fit did not converge), 4 missing data (unknown case or table).  Failures
-print a one-line JSON error object to stderr.  A subcommand that fits
-(run-case, fit and export-plot-data without --paper-params) always writes
-its files and prints its manifest, which records whether each fit
-converged; if one did not, it then exits 3.
+fit did not converge, or a JSON file would hold a non-finite number), 4
+missing data (unknown case or table).  Failures print a one-line JSON error
+object to stderr.  A subcommand that fits (run-case, fit and
+export-plot-data without --paper-params) always writes its files and prints
+its manifest, which records whether each fit converged; if one did not, it
+then exits 3.
 
 Every subcommand takes the oracle step --h.  It is checked before any work:
 it must be finite, lie in (0, 0.5], divide [0, 1] evenly and give at most
@@ -276,9 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         return _emit_error(exc.code, type(exc).__name__, str(exc))
     except (LookupError, FileNotFoundError) as exc:
         return _emit_error(EXIT_MISSING, type(exc).__name__, str(exc))
-    except OracleError as exc:
-        return _emit_error(EXIT_NUMERICAL, type(exc).__name__, str(exc))
-    except SingularBoundarySystem as exc:
+    except (OracleError, SingularBoundarySystem, report.NonFiniteOutput) as exc:
         return _emit_error(EXIT_NUMERICAL, type(exc).__name__, str(exc))
     except (ValidationError, EngineError, PolynomialError, ValueError) as exc:
         return _emit_error(EXIT_INVALID, type(exc).__name__, str(exc))

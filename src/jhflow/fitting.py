@@ -51,6 +51,11 @@ _GRAD_TOLERANCE = 1e-10
 _STEP_TOLERANCE = 1e-10
 _MAX_ITERATIONS = 500
 _MAX_DAMPING = 1e14
+# Smallest dissipation scale that divides thermal residuals.  A defect of
+# order one over a smaller scale, squared and summed, would come within a
+# factor 1e100 of the float range (about 1.8e308), and below about 1e-154
+# it leaves it; such a scale is treated as no source at all.
+_SMALLEST_THERMAL_SCALE = 1e-100
 
 
 def gauss_legendre_01(n: int = 30) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -127,7 +132,8 @@ def thermal_objective_spec(
     In paper mode the series keeps the unit-size seed of the printed
     decomposition, which the divisor does not scale, so they read about
     6e10 to 6e19; objectives compare within a mode, not across modes.
-    With beta = 0 there is no source to measure against; the divisor is 1.
+    With beta = 0 there is no source to measure against, and a scale below
+    _SMALLEST_THERMAL_SCALE would overflow the objective; the divisor is 1.
     """
     nodes, weights = _quadrature(quadrature, n)
     scale = params.beta * params.Pr * (params.H + 4.0 * params.alpha**2)
@@ -136,7 +142,7 @@ def thermal_objective_spec(
         nodes=nodes,
         weights=weights,
         parameter_names=THERMAL_PARAM_NAMES,
-        normalization=scale or 1.0,
+        normalization=scale if scale >= _SMALLEST_THERMAL_SCALE else 1.0,
         mode=mode,
         velocity_polynomial=velocity_polynomial,
     )

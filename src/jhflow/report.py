@@ -10,11 +10,12 @@ CSV and full round-trip precision in JSON.
 from __future__ import annotations
 
 import csv
-import functools
 import json
+import os
+import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from . import cases as case_data
 from . import tables as table_data
 from .fitting import FitResult, fit, thermal_objective_spec, velocity_objective_spec
 from .model import (
-    MODE_SCALE_CONSISTENT,
     FlowParams,
     thermal_constants_derived,
     thermal_constants_stated,
@@ -170,8 +170,92 @@ def solution_payload(case_id: str, problem: str, series: LaurentPoly, source: st
     }
 
 
+class NonFiniteOutput(ArithmeticError):
+    """Raised instead of writing a JSON file that would hold NaN or infinity."""
+
+
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """payload as sorted, indented JSON; a non-finite number raises NonFiniteOutput."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(f"{Path(path).name}: {exc}") from None
+    Path(path).write_text(text + "\n")
+
+
+def _fork_map(fn: Callable, items: Sequence) -> list:
+    """[fn(x) for x in items], spread over the CPUs this process may run on.
+
+    With k workers the parent maps items[0::k] and each of k - 1 forked
+    children maps items[w::k], sending back pickled (ok, value or
+    exception) pairs through a pipe.  A worker stops at its first failing
+    item, and the first failure in item order is raised, as the plain loop
+    would raise it.  Every child is reaped before this returns or raises,
+    so its CPU time counts in RUSAGE_CHILDREN; a child that ends without
+    its results makes this raise RuntimeError.  fn need not be picklable,
+    since the children are forked with it; its values and exceptions must
+    be.  With one CPU (or no sched_getaffinity) nothing is forked.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = max(1, min(len(items), cpus))
+    pids: list[int] = []
+    pipes: list = []
+    try:
+        for w in range(1, k):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_share(fn, items[w::k], write_fd)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        shares = [_map_share(fn, items[0::k])]
+        sent = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, status, data in zip(pids, statuses, sent):
+        if status or not data:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"worker {pid} ended with status {code} before sending its results")
+        shares.append(pickle.loads(data))
+    results = []
+    for i in range(len(items)):
+        ok, value = shares[i % k][i // k]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _send_share(fn: Callable, share: Sequence, write_fd: int) -> NoReturn:
+    """A forked child's whole life: map its share, pickle it to write_fd, exit.
+
+    os._exit skips the parent's atexit handlers and stdio buffers, which the
+    child inherited and must not run or flush a second time.
+    """
+    status = 1
+    try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(_map_share(fn, share), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _map_share(fn: Callable, share: Sequence) -> list[tuple[bool, object]]:
+    """(True, fn(x)) for each x up to the first failure, then (False, exception)."""
+    outcomes: list[tuple[bool, object]] = []
+    for item in share:
+        try:
+            outcomes.append((True, fn(item)))
+        except Exception as exc:  # handed to _fork_map, which raises it in item order
+            outcomes.append((False, exc))
+            break
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -286,30 +370,18 @@ def run_case(
     return manifest
 
 
-def _shoot_case_velocity(case_id: str, h: float) -> OracleSolution:
-    """A fresh velocity shot for a bundled case."""
-    return shoot_velocity(case_data.get_case(case_id).params, h=h)
-
-
-def regenerate_table(
-    number: int,
-    h: float = 1e-4,
-    velocity: Callable[[str, float], OracleSolution] = _shoot_case_velocity,
-) -> dict:
+def regenerate_table(number: int, oracle: OracleSolution) -> dict:
     """Own oracle plus bundled-polynomial evaluation next to the digitized table.
 
-    velocity(case_id, h) supplies the case's velocity shot.
+    oracle is the velocity or temperature shot of the table's case,
+    matching the table's problem.
     """
     problem, payload = table_data.get_table(number)
     case_id = payload["case"]
-    case = case_data.get_case(case_id)
-    vel_oracle = velocity(case_id, h)
     if problem == "velocity":
-        oracle = vel_oracle
         series = case_data.paper_solution_velocity(case_id)
         component = "F"
     else:
-        oracle = shoot_thermal(case.params, vel_oracle, h=h)
         series = case_data.paper_solution_theta(case_id)
         component = "theta"
     rows = []
@@ -373,20 +445,51 @@ def write_table_csv(path, regen: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# The thermal-numeric-column-scale finding shoots every case at this step.
+_FINDINGS_STEP = 1e-3
+
+
+def _reproduce_case(case_id: str, numbers: Sequence[int], h: float) -> tuple[dict, dict]:
+    """The requested tables of one bundled case, and its column-scale evidence row.
+
+    The velocity is shot at h once when any table is requested, theta at h
+    only when the temperature table is; the evidence row reuses those shots
+    when h is the findings step and shoots at that step otherwise.
+    """
+    params = case_data.get_case(case_id).params
+    vel_no, th_no = table_data.tables_for_case(case_id)
+    velocity = shoot_velocity(params, h=h) if numbers else None
+    thermal = shoot_thermal(params, velocity, h=h) if th_no in numbers else None
+    tables = {n: regenerate_table(n, velocity if n == vel_no else thermal) for n in numbers}
+    if velocity is None or h != _FINDINGS_STEP:
+        velocity = shoot_velocity(params, h=_FINDINGS_STEP)
+        thermal = None
+    if thermal is None:
+        thermal = shoot_thermal(params, velocity, h=_FINDINGS_STEP)
+    return tables, _column_scale_row(case_id, th_no, thermal)
+
+
 def reproduce_tables(numbers: Sequence[int], out_dir, h: float = 1e-4) -> dict:
     """Regenerate the requested tables and write per-table files plus findings.
 
-    Each case's velocity is shot once per step and shared by its velocity
-    table, its temperature table and the findings.  File paths in the
-    summary are relative to out_dir, so reproductions into different
-    directories write identical summary.json files.
+    Each bundled case is one task of _fork_map: its velocity is shot once
+    per step and shared by its velocity table, its temperature table and
+    the findings.  File paths in the summary are relative to out_dir, so
+    reproductions into different directories write identical summary.json
+    files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    velocity = functools.lru_cache(maxsize=None)(_shoot_case_velocity)
+    requested: dict[str, list[int]] = {case_id: [] for case_id in case_data.CASE_IDS}
+    for number in dict.fromkeys(numbers):
+        requested[table_data.get_table(number)[1]["case"]].append(number)
+    done = _fork_map(
+        lambda case_id: _reproduce_case(case_id, requested[case_id], h), case_data.CASE_IDS
+    )
+    regenerated = {n: regen for tables, _ in done for n, regen in tables.items()}
     summary = {"tables": [], "files": {}}
     for number in numbers:
-        regen = regenerate_table(number, h=h, velocity=velocity)
+        regen = regenerated[number]
         name = f"table_{number:02d}.csv"
         write_table_csv(out / name, regen)
         summary["files"][str(number)] = name
@@ -400,21 +503,41 @@ def reproduce_tables(numbers: Sequence[int], out_dir, h: float = 1e-4) -> dict:
                 "flaggedEntries": regen["flaggedEntries"],
             }
         )
-    write_json(out / "findings.json", {"findings": collect_findings(velocity)})
+    findings = collect_findings([row for _, row in done])
+    write_json(out / "findings.json", {"findings": findings})
     summary["files"]["findings"] = "findings.json"
     write_json(out / "summary.json", summary)
     summary["files"]["summary"] = "summary.json"
     return summary
 
 
-def collect_findings(
-    velocity: Callable[[str, float], OracleSolution] = _shoot_case_velocity,
-) -> list[dict]:
+def _column_scale_row(case_id: str, th_no: int, thermal: OracleSolution) -> dict:
+    """One case's thermal-numeric-column-scale evidence, from its theta shot."""
+    case = case_data.get_case(case_id)
+    _, payload = table_data.get_table(th_no)
+    center = payload["rows"][0][1]
+    own_center = thermal.at(0.0, "theta")
+    ratio = center / own_center if own_center else float("nan")
+    return {
+        "case": case_id,
+        "table": th_no,
+        "tableCenterValue": center,
+        "oracleCenterValue": own_center,
+        "ratio": ratio,
+        "squaredScaleLaw": (np.pi * case.params.Re / (120.0 * case.params.alpha)) ** 2,
+        "maxAbsDisagreement": max(
+            abs(thermal.at(r[0], "theta") - r[1]) for r in payload["rows"]
+        ),
+    }
+
+
+def collect_findings(column_scale_rows: list[dict]) -> list[dict]:
     """Internal inconsistencies of the published derivation, with evidence.
 
     Each entry states what disagrees with what, plus numbers computed fresh
-    from this library at the bundled cases; velocity(case_id, h) supplies
-    the velocity shots.
+    from this library at the bundled cases; column_scale_rows holds the
+    _column_scale_row of every bundled case, from theta shots at the
+    findings step.
     """
     findings = []
     p51 = case_data.get_case("5.1").params
@@ -625,30 +748,6 @@ def collect_findings(
     # (f) The temperature equation as printed cannot reproduce the numeric
     # table columns: they are larger by close to (pi*Re/(120*alpha))^2, and
     # no rescaling removes the residual eta-dependent mismatch.
-    rows_scale = []
-    for cid in case_data.CASE_IDS:
-        case = case_data.get_case(cid)
-        vel = velocity(cid, 1e-3)
-        th = shoot_thermal(case.params, vel, h=1e-3)
-        _, th_no = table_data.tables_for_case(cid)
-        _, payload = table_data.get_table(th_no)
-        center = payload["rows"][0][1]
-        own_center = th.at(0.0, "theta")
-        ratio = center / own_center if own_center else float("nan")
-        alpha = case.params.alpha
-        rows_scale.append(
-            {
-                "case": cid,
-                "table": th_no,
-                "tableCenterValue": center,
-                "oracleCenterValue": own_center,
-                "ratio": ratio,
-                "squaredScaleLaw": (np.pi * case.params.Re / (120.0 * alpha)) ** 2,
-                "maxAbsDisagreement": max(
-                    abs(th.at(r[0], "theta") - r[1]) for r in payload["rows"]
-                ),
-            }
-        )
     findings.append(
         {
             "id": "thermal-numeric-column-scale",
@@ -660,7 +759,7 @@ def collect_findings(
                 "any constant rescaling, so the columns cannot come from the "
                 "printed equation."
             ),
-            "evidence": rows_scale,
+            "evidence": column_scale_rows,
         }
     )
     return findings
@@ -674,41 +773,38 @@ def sweep(
     beta: float = case_data.BETA,
     etas: Sequence[float] = COMPARISON_ETAS,
     h: float = 1e-4,
-    mode: str = MODE_SCALE_CONSISTENT,
 ) -> list[dict]:
-    """One row per (alpha, H, eta), ordered that way; failures become rows."""
-    rows = []
-    for alpha in sorted(alphas):
-        for h_mag in sorted(h_values):
-            try:
-                params = FlowParams(alpha=alpha, Re=Re, H=h_mag, Pr=Pr, beta=beta)
-                vel = shoot_velocity(params, h=h)
-                th = shoot_thermal(params, vel, h=h)
-            except Exception as exc:  # recorded per row, sweep continues
-                for eta in etas:
-                    rows.append(
-                        {
-                            "alpha": alpha,
-                            "H": h_mag,
-                            "eta": eta,
-                            "F": None,
-                            "theta": None,
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    )
-                continue
-            for eta in etas:
-                rows.append(
-                    {
-                        "alpha": alpha,
-                        "H": h_mag,
-                        "eta": eta,
-                        "F": vel.at(eta, "F"),
-                        "theta": th.at(eta, "theta"),
-                        "error": "",
-                    }
-                )
-    return rows
+    """One row per (alpha, H, eta), ordered that way; failures become rows.
+
+    Each (alpha, H) cell is one task of _fork_map.
+    """
+
+    def cell(point: tuple[float, float]) -> list[dict]:
+        alpha, h_mag = point
+        try:
+            params = FlowParams(alpha=alpha, Re=Re, H=h_mag, Pr=Pr, beta=beta)
+            vel = shoot_velocity(params, h=h)
+            th = shoot_thermal(params, vel, h=h)
+        except Exception as exc:  # recorded per row, sweep continues
+            error = f"{type(exc).__name__}: {exc}"
+            return [
+                {"alpha": alpha, "H": h_mag, "eta": eta, "F": None, "theta": None, "error": error}
+                for eta in etas
+            ]
+        return [
+            {
+                "alpha": alpha,
+                "H": h_mag,
+                "eta": eta,
+                "F": vel.at(eta, "F"),
+                "theta": th.at(eta, "theta"),
+                "error": "",
+            }
+            for eta in etas
+        ]
+
+    cells = [(alpha, h_mag) for alpha in sorted(alphas) for h_mag in sorted(h_values)]
+    return [row for rows in _fork_map(cell, cells) for row in rows]
 
 
 def write_sweep_csv(path, rows: Sequence[dict]) -> None:

@@ -335,6 +335,43 @@ def test_fit_without_dissipation_writes_finite_objective(tmp_path, capsys):
     assert math.isfinite(record["objective"])
 
 
+@pytest.mark.parametrize("beta", [1e-300, 5e-324])
+def test_fit_with_tiny_dissipation_writes_finite_objective(beta, tmp_path, capsys):
+    # A scale this small would overflow the normalized objective, so it
+    # takes the beta = 0 normalization instead.
+    case_file = tmp_path / "tiny.json"
+    case_file.write_text(json.dumps(
+        {"id": "b", "alpha": 0.1, "Re": 50, "H": 0, "Pr": 1, "beta": beta, "mode": "paper"}
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "fit", "--case", str(case_file), "--h", "1e-3", "--out", str(tmp_path / "out"),
+        )
+    assert code == EXIT_OK, err
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for path in json.loads(out)["files"].values():
+        record = json.loads(Path(path).read_text(), parse_constant=reject)
+        assert math.isfinite(record["objective"])
+
+
+def test_non_finite_record_exits_3_without_writing(tmp_path, capsys, monkeypatch):
+    def infinite(self, case_id, problem, max_grid_error):
+        return {"case": case_id, "problem": problem, "objective": math.inf}
+
+    monkeypatch.setattr(fitting.FitResult, "to_record", infinite)
+    code, out, err = run_cli(
+        capsys, "fit", "--case", "5.1", "--h", "1e-2", "--out", str(tmp_path),
+    )
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "NonFiniteOutput"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_shoots_velocity_once(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -454,18 +491,21 @@ def test_reproduce_tables_shoots_each_velocity_once_per_step(
     step, shots, tmp_path, capsys, monkeypatch
 ):
     # The 16 tables cover 8 cases, each with a velocity and a temperature
-    # table; the findings shoot the same 8 cases at h = 1e-3.
-    calls = []
+    # table; the findings shoot the same 8 cases at h = 1e-3.  Shots made in
+    # forked workers are logged to a file, since a list would miss them.
+    log = tmp_path / "shots.log"
 
     def counted(params, h):
-        calls.append((params, h))
+        with open(log, "a") as handle:
+            handle.write(f"{params!r} {h!r}\n")
         return shoot_velocity(params, h=h)
 
     monkeypatch.setattr("jhflow.report.shoot_velocity", counted)
     code, _, err = run_cli(
-        capsys, "reproduce-tables", "--tables", "1-16", "--h", step, "--out", str(tmp_path)
+        capsys, "reproduce-tables", "--tables", "1-16", "--h", step, "--out", str(tmp_path / "out")
     )
     assert code == EXIT_OK, err
+    calls = log.read_text().splitlines()
     assert len(calls) == len(set(calls)) == shots
 
 
@@ -529,6 +569,97 @@ def test_sweep_grid_and_failure_rows(tmp_path, capsys):
     assert manifest["failedCells"] >= 1
     assert errored and all(r[3] == "" for r in errored)
     assert good and all(float(r[3]) == pytest.approx(1.0) for r in good if r[2] == "0")
+
+
+def _outputs(path: Path) -> dict[str, bytes]:
+    files = sorted(f for f in path.rglob("*") if f.is_file())
+    return {str(f.relative_to(path)): f.read_bytes() for f in files}
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _use_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--alphas", "0.1,1.5", "--hs", "0,100", "--h", "1e-3"),
+        ("reproduce-tables", "--tables", "1-16", "--h", "1e-3"),
+    ],
+    ids=["sweep", "reproduce-tables"],
+)
+def test_outputs_independent_of_worker_count(argv, tmp_path, capsys, monkeypatch):
+    seen = []
+    for workers in (1, 2, 3):
+        _use_cpus(monkeypatch, workers)
+        out = tmp_path / str(workers)
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == EXIT_OK, err
+        assert _no_child_left()
+        seen.append((stdout.replace(str(out), "OUT"), _outputs(out)))
+    assert seen[0] == seen[1] == seen[2]
+
+
+def test_oracle_error_in_worker_exits_3_as_serial(tmp_path, capsys, monkeypatch):
+    # Case 5.2 is the second task, so with two workers it runs in a child.
+    failing = get_case("5.2").params
+
+    def shoot(params, h):
+        if params == failing:
+            raise ShootingDiverged("no convergence in a worker")
+        return shoot_velocity(params, h=h)
+
+    monkeypatch.setattr("jhflow.report.shoot_velocity", shoot)
+    errors = []
+    for workers in (1, 2):
+        _use_cpus(monkeypatch, workers)
+        code, out, err = run_cli(
+            capsys, "reproduce-tables", "--tables", "1-4", "--h", "1e-3",
+            "--out", str(tmp_path / str(workers)),
+        )
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert _no_child_left()
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert len(errors[0].splitlines()) == 1
+    assert json.loads(errors[0])["error"]["type"] == "ShootingDiverged"
+
+
+def test_fork_map_raises_when_a_worker_dies(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+
+    def task(item):
+        if item == 1:  # the child's item
+            os.kill(os.getpid(), 9)
+        return item
+
+    with pytest.raises(RuntimeError, match="before sending its results"):
+        report._fork_map(task, [0, 1, 2, 3])
+    assert _no_child_left()
+
+
+def test_fork_map_keeps_item_order_and_first_failure(monkeypatch):
+    def task(item):
+        if item in (3, 4):
+            raise ValueError(f"item {item}")
+        return item * item
+
+    for workers in (1, 2, 3):
+        _use_cpus(monkeypatch, workers)
+        assert report._fork_map(task, [0, 1, 2]) == [0, 1, 4]
+        assert report._fork_map(task, []) == []
+        with pytest.raises(ValueError, match="item 3"):
+            report._fork_map(task, list(range(6)))
+        assert _no_child_left()
 
 
 def test_sweep_needs_values(tmp_path, capsys):
