@@ -3,7 +3,10 @@
 # The series solution is a seed plus two corrections.  Each correction
 # solves a third-order two-point problem whose right-hand side is the
 # remainder of the previous stage weighted by an auxiliary multiplier
-# carrying free parameters C1..C7.  This script builds the stages for
+# carrying free parameters C1..C7.  The multipliers are linear in those
+# parameters, so one pass (model.velocity_basis) solves each correction
+# once per parameter, and velocity_solution weights the columns:
+# u1 = C1*a and u2 = sum_k C1*Ck*b_k.  This script builds the stages for
 # bench case 5.1 with its published parameter values and checks the
 # closed forms the construction implies.
 

@@ -5,9 +5,10 @@ and temperature profiles of a conducting fluid driven through a convergent
 channel under a transverse magnetic field.  It provides:
 
 - ``polyalg``: exact sparse polynomial algebra with a single 1/eta tail;
-- ``engine``: the staged perturbation machinery that assembles seed plus
-  two corrections from auxiliary multipliers carrying free parameters;
-- ``model``: the flow-specific operators, seeds, multipliers and residuals;
+- ``engine``: the staged perturbation machinery that solves the seed and
+  one correction column per free parameter of the auxiliary multipliers;
+- ``model``: the flow-specific operators, seeds, multipliers and residuals,
+  and the series solutions weighted from those columns;
 - ``fitting``: least-squares identification of the free parameters;
 - ``oracle``: an independent Runge-Kutta shooting solver used as ground
   truth for the series;
@@ -20,7 +21,7 @@ channel under a transverse magnetic field.  It provides:
 """
 
 from .cases import BETA, CASE_IDS, CaseDefinition, get_case, load_case
-from .engine import StageSolution, run_stages
+from .engine import StageSolution
 from .fitting import (
     FitResult,
     ObjectiveSpec,
@@ -59,7 +60,6 @@ __all__ = [
     "load_case",
     "residual_thermal",
     "residual_velocity",
-    "run_stages",
     "shoot_thermal",
     "shoot_velocity",
     "thermal_objective_spec",

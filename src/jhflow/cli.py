@@ -25,6 +25,7 @@ it must be finite, lie in (0, 0.5], divide [0, 1] evenly and give at most
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -104,15 +105,7 @@ def _out_dir(path: str) -> Path:
 def _load_case(ref: str, mode: str | None) -> case_data.CaseDefinition:
     case = case_data.load_case(ref)
     if mode is not None and _MODE_FLAGS[mode] != case.mode:
-        case = case_data.CaseDefinition(
-            id=case.id,
-            params=case.params,
-            mode=_MODE_FLAGS[mode],
-            paper_params_velocity=case.paper_params_velocity,
-            paper_params_thermal=case.paper_params_thermal,
-            paper_F=case.paper_F,
-            paper_theta=case.paper_theta,
-        )
+        case = dataclasses.replace(case, mode=_MODE_FLAGS[mode])
     return case
 
 

@@ -4,7 +4,9 @@ A problem is posed as a linear operator d^k/deta^k with k point conditions
 and a constant-in-homotopy forcing.  The seed stage solves the linear
 problem alone; each correction stage solves the same operator against a
 right-hand side built from the nonlinear remainder, weighted by auxiliary
-multiplier polynomials that carry the free parameters.
+multiplier polynomials that are linear in the free parameters.  So the
+corrections are fixed polynomials weighted by those parameters, and
+stage_basis solves each of them once.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ __all__ = [
     "NonlinearExpansion",
     "StageSolution",
     "solve_linear_stage",
-    "apply_aux_function",
-    "run_stages",
     "stage_basis",
     "EngineError",
     "SingularBoundarySystem",
@@ -142,11 +142,8 @@ def solve_linear_stage(
         raise EngineError("stage right-hand side keeps a pole after negation")
     particular = negated.antiderivative(k)
 
+    # LinearProblemSpec rejected an ill-conditioned matrix when it was built.
     matrix = _condition_matrix(spec.conditions, k)
-    if np.linalg.cond(matrix) > _CONDITION_LIMIT:
-        raise SingularBoundarySystem(
-            "point conditions leave the polynomial correction underdetermined"
-        )
     target = np.zeros(k)
     for i, cond in enumerate(spec.conditions):
         want = 0.0 if homogeneous else cond.value
@@ -159,33 +156,25 @@ def solve_linear_stage(
 
 @dataclass(frozen=True)
 class AuxFunction:
-    """Multiplier sum(params[name] * shape) + constant_part.
+    """Multiplier sum(params[name] * shape), linear in its parameters.
 
     Shapes may carry 1/eta and 1/eta^2 terms; the product with the stage
     carrier must come out a pure polynomial.
     """
 
     basis: tuple[tuple[str, LaurentPoly], ...]
-    constant_part: LaurentPoly = field(default_factory=LaurentPoly.zero)
 
     def parameter_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.basis)
 
     def assemble(self, params: Mapping[str, float]) -> LaurentPoly:
         """The multiplier polynomial at the given parameter values."""
-        total = self.constant_part
+        total = ZERO
         for name, shape in self.basis:
             if name not in params:
                 raise MissingParameter(f"auxiliary function needs parameter {name!r}")
             total = total + shape * float(params[name])
         return total
-
-
-def apply_aux_function(
-    aux: AuxFunction, params: Mapping[str, float], carrier: LaurentPoly
-) -> LaurentPoly:
-    """Multiply the assembled auxiliary polynomial into a stage carrier."""
-    return _pole_free(aux.assemble(params) * carrier)
 
 
 def _pole_free(product: LaurentPoly) -> LaurentPoly:
@@ -214,42 +203,6 @@ class StageSolution:
     assembled: LaurentPoly
 
 
-def run_stages(
-    spec: LinearProblemSpec,
-    nonlinear: Callable[[LaurentPoly], NonlinearExpansion],
-    aux_set: Sequence[AuxFunction | None],
-    params: Mapping[str, float],
-) -> StageSolution:
-    """Run the seed and two correction stages and assemble their sum.
-
-    aux_set[0] weights N(u0) in the first correction; aux_set[1 + j] weights
-    (d^j u1) * dN/du^(j) in the second.  An absent or None slot drops that
-    term; slots beyond the listed partials are accepted and ignored.
-    """
-    u0 = solve_linear_stage(spec)
-    expansion = nonlinear(u0)
-
-    if not aux_set or aux_set[0] is None:
-        raise EngineError("the first correction needs an auxiliary function")
-    rhs1 = apply_aux_function(aux_set[0], params, expansion.value)
-    u1 = solve_linear_stage(spec, rhs1, homogeneous=True)
-
-    rhs2 = ZERO
-    derivative = u1
-    for j, partial in enumerate(expansion.partials):
-        if j > 0:
-            derivative = derivative.differentiate()
-        if partial.is_zero:
-            continue
-        slot = 1 + j
-        if slot >= len(aux_set) or aux_set[slot] is None:
-            continue
-        rhs2 = rhs2 + apply_aux_function(aux_set[slot], params, derivative * partial)
-    u2 = solve_linear_stage(spec, rhs2, homogeneous=True)
-
-    return StageSolution(u0=u0, u1=u1, u2=u2, assembled=u0 + u1 + u2)
-
-
 def stage_basis(
     spec: LinearProblemSpec,
     nonlinear: Callable[[LaurentPoly], NonlinearExpansion],
@@ -257,18 +210,16 @@ def stage_basis(
 ) -> tuple[LaurentPoly, dict[str, LaurentPoly]]:
     """The seed and one correction column per parameter, in one pass.
 
-    When aux_set[0] carries a single parameter L and no multiplier has a
-    constant part, run_stages gives u1 = L*a and u2 = L*sum_k Ck*b_k with
-    fixed polynomials a and b_k: u1 scales the carriers of the second
-    stage, and each multiplier is linear in its parameters.  This solves
-    u0, a and each b_k once, on the carriers of run_stages at L = 1, and
-    returns u0 with the columns by parameter name: L -> a, Ck -> b_k.  A
-    parameter whose slot run_stages skips gets no column.
+    aux_set[0] carries a single parameter L and weights N(u0) in the first
+    correction; aux_set[1 + j] weights (d^j u1) * dN/du^(j) in the second.
+    Each multiplier is linear in its parameters, so u1 = L*a and
+    u2 = L*sum_k Ck*b_k with fixed polynomials a and b_k, each solved once
+    with homogeneous conditions.  Returns u0 and the columns by name:
+    L -> a, Ck -> b_k.  An absent or None slot, one beyond the partials and
+    one whose partial is zero give no column.
     """
     if not aux_set or aux_set[0] is None or len(aux_set[0].basis) != 1:
         raise EngineError("the first correction needs a one-parameter auxiliary function")
-    if any(aux is not None and not aux.constant_part.is_zero for aux in aux_set):
-        raise EngineError("a multiplier with a constant part is not linear in its parameters")
     u0 = solve_linear_stage(spec)
     expansion = nonlinear(u0)
     (lead, lead_shape), = aux_set[0].basis

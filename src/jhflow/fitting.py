@@ -8,7 +8,7 @@ the identification uses that structure:
 
 - The seed and first correction do not depend on the constants and the
   second correction is one fixed polynomial per constant, so the stage
-  basis comes from one pass of engine.stage_basis.
+  basis comes from one stage pass (model.velocity_basis, thermal_basis).
 - theta = u0 + C8*a + sum_j Cj*b_j and the temperature equation is linear,
   so the thermal defect is affine in C8..C13.  It is sampled at the nodes
   from theta and theta'' of each column, and one linear least-squares
@@ -28,7 +28,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .engine import stage_basis
 from .model import (
     MODE_SCALE_CONSISTENT,
     THERMAL_PARAM_NAMES,
@@ -36,11 +35,11 @@ from .model import (
     FlowParams,
     residual_thermal,
     residual_velocity,
+    thermal_basis,
     thermal_solution,
-    thermal_stages,
+    velocity_basis,
     velocity_seed,
     velocity_solution,
-    velocity_stages,
 )
 from .polyalg import LaurentPoly
 
@@ -191,20 +190,16 @@ def residual_vector(
 def _stage_basis(spec: ObjectiveSpec, params: FlowParams) -> list[LaurentPoly]:
     """Seed u0, then one series column per parameter slot, from one stage pass.
 
-    With the lead constant L (C1 or C8) and the others Ck, the first
-    correction is L times a fixed polynomial a.  The second correction is a
-    sum of fixed polynomials b_k, weighted by L*Ck for the velocity (its
-    right-hand side is bilinear in u1 and the multiplier) and by Ck for the
-    temperature (its multiplier divides by C8).  The seed does not depend
-    on the constants.  engine.stage_basis solves u0, a and each b_k once;
-    the columns follow spec.parameter_names, a in L's slot and b_k in Ck's.
-    The thermal basis rides on the velocity seed, as thermal_solution does.
+    The columns of model.velocity_basis or thermal_basis in the order of
+    spec.parameter_names: a in the slot of the lead constant (C1 or C8),
+    b_k in Ck's.  velocity_solution and thermal_solution weight them.
     """
     if spec.problem == "velocity":
-        u0, columns = stage_basis(*velocity_stages(params))
+        names, (u0, columns) = VELOCITY_PARAM_NAMES, velocity_basis(params)
     else:
-        u0, columns = stage_basis(*thermal_stages(params, spec.mode))
-    return [u0] + [columns[name] for name in spec.parameter_names]
+        names, (u0, columns) = THERMAL_PARAM_NAMES, thermal_basis(params, spec.mode)
+    named = dict(zip(names, columns))
+    return [u0] + [named[name] for name in spec.parameter_names]
 
 
 def _sampled(columns: Sequence[LaurentPoly], eta: np.ndarray, order: int) -> np.ndarray:

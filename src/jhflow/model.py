@@ -15,7 +15,9 @@ temperature profile theta(eta) rides on F:
 This module states both problems for the staged-homotopy engine: linear
 parts, nonlinear remainders expanded at the seed, auxiliary-multiplier
 sets carrying the free parameters, and the exact residual operators used
-for fitting and verification.
+for fitting and verification.  Each series is a seed plus correction
+columns from one stage pass (velocity_basis, thermal_basis), weighted by
+the constants.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from .engine import (
     MissingParameter,
     NonlinearExpansion,
     StageSolution,
-    run_stages,
     solve_linear_stage,
+    stage_basis,
 )
-from .polyalg import LaurentPoly
+from .polyalg import ZERO, LaurentPoly
 
 __all__ = [
     "MODE_PAPER",
@@ -50,14 +52,13 @@ __all__ = [
     "velocity_seed",
     "thermal_seed",
     "velocity_nonlinear",
-    "velocity_nonlinear_ab",
     "thermal_nonlinear",
     "build_velocity_aux_set",
     "build_thermal_aux_set",
     "residual_velocity",
     "residual_thermal",
-    "velocity_stages",
-    "thermal_stages",
+    "velocity_basis",
+    "thermal_basis",
     "velocity_solution",
     "thermal_solution",
     "thermal_constants_stated",
@@ -172,21 +173,17 @@ def thermal_seed(mode: str = MODE_SCALE_CONSISTENT) -> LaurentPoly:
     return solve_linear_stage(thermal_problem_spec(mode))
 
 
-def velocity_nonlinear_ab(A: float, B: float, F0: LaurentPoly) -> NonlinearExpansion:
+def velocity_nonlinear(params: FlowParams, F0: LaurentPoly) -> NonlinearExpansion:
     """Velocity remainder N(F) = A*F*F' + B*F' expanded at F0.
 
-    Returns N(F0) with the partials against F and F'.  Takes the groups A
-    and B directly so generic drawings need not be realizable physically.
+    Returns N(F0) with the partials against F and F'.
     """
+    A, B = params.A, params.B
     dF0 = F0.differentiate()
     value = A * (F0 * dF0) + B * dF0
     partial_f = A * dF0
     partial_df = A * F0 + LaurentPoly.constant(B)
     return NonlinearExpansion(value=value, partials=(partial_f, partial_df))
-
-
-def velocity_nonlinear(params: FlowParams, F0: LaurentPoly) -> NonlinearExpansion:
-    return velocity_nonlinear_ab(params.A, params.B, F0)
 
 
 def velocity_series_expansion(params: FlowParams) -> NonlinearExpansion:
@@ -259,8 +256,8 @@ def build_thermal_aux_set() -> tuple[AuxFunction, AuxFunction]:
 
     First correction: h0 = -30*C8.  Second correction: h1 carries
     C9 + C10*eta + ... + C13*eta^4, undivided.  The published multiplier
-    is h1/C8, and thermal_solution applies that division by running the
-    stages at C8 = 1.
+    is h1/C8; thermal_solution applies that division by weighting the
+    second-stage columns by Cj alone.
     """
     h0 = AuxFunction(basis=(("C8", LaurentPoly.constant(-30.0)),))
     h1 = AuxFunction(
@@ -289,54 +286,74 @@ def residual_thermal(
     return theta.differentiate(2) + coupling * theta + dissipation
 
 
-def velocity_stages(params: FlowParams) -> tuple:
-    """Spec, remainder (velocity_series_expansion) and multipliers of the velocity series."""
-    return (
+def velocity_basis(params: FlowParams) -> tuple[LaurentPoly, list[LaurentPoly]]:
+    """Seed and correction columns of the velocity series, in one stage pass.
+
+    The columns follow VELOCITY_PARAM_NAMES: a for C1, then b_k for each
+    Ck.  The remainder is velocity_series_expansion.
+    """
+    u0, columns = stage_basis(
         velocity_problem_spec(),
         lambda f0: velocity_series_expansion(params),
         build_velocity_aux_set(params),
     )
+    return u0, [columns[name] for name in VELOCITY_PARAM_NAMES]
 
 
-def thermal_stages(
-    params: FlowParams, mode: str = MODE_SCALE_CONSISTENT, F0: LaurentPoly | None = None
-) -> tuple:
-    """Spec, remainder and multipliers of the thermal series; F is F0 or the seed 1 - eta^2."""
-    carrier = velocity_seed() if F0 is None else F0
-    return (
+def thermal_basis(
+    params: FlowParams, mode: str = MODE_SCALE_CONSISTENT
+) -> tuple[LaurentPoly, list[LaurentPoly]]:
+    """Seed and correction columns of the thermal series, in one stage pass.
+
+    The columns follow THERMAL_PARAM_NAMES: a for C8, then b_j for each Cj.
+    The velocity in the remainder is the seed 1 - eta^2.
+    """
+    u0, columns = stage_basis(
         thermal_problem_spec(mode),
-        lambda t0: thermal_nonlinear(params, carrier, t0, mode),
+        lambda t0: thermal_nonlinear(params, velocity_seed(), t0, mode),
         build_thermal_aux_set(),
     )
+    return u0, [columns[name] for name in THERMAL_PARAM_NAMES]
+
+
+def _values(c: Mapping[str, float], names: tuple[str, ...]) -> list[float]:
+    for name in names:
+        if name not in c:
+            raise MissingParameter(f"the series needs parameter {name!r}")
+    return [float(c[name]) for name in names]
+
+
+def _weighted(u0: LaurentPoly, u1: LaurentPoly, terms) -> StageSolution:
+    """The solution with u2 = sum of w * b over the (w, b) pairs in terms."""
+    u2 = sum((w * b for w, b in terms), ZERO)
+    return StageSolution(u0=u0, u1=u1, u2=u2, assembled=u0 + u1 + u2)
 
 
 def velocity_solution(params: FlowParams, c: Mapping[str, float]) -> StageSolution:
-    """Seed plus two corrections of the velocity problem at parameters c."""
-    return run_stages(*velocity_stages(params), c)
+    """Seed plus two corrections of the velocity problem at parameters c.
+
+    u1 = C1*a and u2 = sum_k C1*Ck*b_k over the columns of velocity_basis:
+    the second stage's right-hand side is bilinear in u1 and its multiplier.
+    """
+    c1, *rest = _values(c, VELOCITY_PARAM_NAMES)
+    u0, (a, *b) = velocity_basis(params)
+    return _weighted(u0, c1 * a, ((c1 * ck, bk) for ck, bk in zip(rest, b)))
 
 
 def thermal_solution(
-    params: FlowParams,
-    c: Mapping[str, float],
-    mode: str = MODE_SCALE_CONSISTENT,
-    F0: LaurentPoly | None = None,
+    params: FlowParams, c: Mapping[str, float], mode: str = MODE_SCALE_CONSISTENT
 ) -> StageSolution:
     """Seed plus two corrections of the thermal problem at parameters c.
 
     The second multiplier (C9 + ... + C13*eta^4)/C8 weights the first
-    correction, which is C8 times a fixed polynomial a, so C8 cancels from
-    the second correction.  The stages therefore run once at C8 = 1 and
-    the first correction is scaled by C8 afterwards:
-    theta = u0 + C8*a + sum_j Cj*b_j, continuous in C8, also through C8 = 0.
+    correction u1 = C8*a, so C8 cancels from the second correction:
+    theta = u0 + C8*a + sum_j Cj*b_j over the columns of thermal_basis,
+    continuous in C8, also through C8 = 0.
     """
     _check_mode(mode)
-    if "C8" not in c:
-        raise MissingParameter("the first thermal multiplier needs parameter 'C8'")
-    stages = run_stages(*thermal_stages(params, mode, F0), {**c, "C8": 1.0})
-    u1 = float(c["C8"]) * stages.u1
-    return StageSolution(
-        u0=stages.u0, u1=u1, u2=stages.u2, assembled=stages.u0 + u1 + stages.u2
-    )
+    c8, *rest = _values(c, THERMAL_PARAM_NAMES)
+    u0, (a, *b) = thermal_basis(params, mode)
+    return _weighted(u0, c8 * a, zip(rest, b))
 
 
 @dataclass(frozen=True)

@@ -542,6 +542,9 @@ def collect_findings(column_scale_rows: list[dict]) -> list[dict]:
     findings = []
     p51 = case_data.get_case("5.1").params
     p52 = case_data.get_case("5.2").params
+    c51 = case_data.PAPER_PARAMS_VELOCITY["5.1"]
+    stage = velocity_solution(p51, c51)
+    f0 = velocity_seed()
 
     # (a) The first thermal stage equation theta0'' - 1 = 0 and the printed
     # seed (1 - eta^2)/2 cannot both hold: that seed gives theta0'' = -1.
@@ -563,8 +566,6 @@ def collect_findings(column_scale_rows: list[dict]) -> list[dict]:
 
     # (b) In the printed assembled velocity series the eta^2 coefficient
     # carries (3A+5B) without the C1 factor that the first stage requires.
-    c51 = case_data.PAPER_PARAMS_VELOCITY["5.1"]
-    stage = velocity_solution(p51, c51)
     machine_eta2 = stage.assembled.coefficient(2)
     A, B = p51.A, p51.B
     printed_eta2 = machine_eta2 - (3 * A + 5 * B) * c51["C1"] + (3 * A + 5 * B)
@@ -621,7 +622,6 @@ def collect_findings(column_scale_rows: list[dict]) -> list[dict]:
     # while the governing equation and the stated constants use (H+4a^2);
     # the two coincide only at H = 1.
     a2, pr, beta, hm = p52.alpha**2, p52.Pr, p52.beta, p52.H
-    f0 = velocity_seed()
     printed_seed = LaurentPoly({0: 0.5, 2: -0.5})
     remainder = thermal_nonlinear(p52, f0, printed_seed, "paper").value
     constant_with_H = remainder.coefficient(0)
@@ -651,18 +651,12 @@ def collect_findings(column_scale_rows: list[dict]) -> list[dict]:
     # 2A eta^2 - 2(A+B) eta, but the remainder operator evaluated at the
     # seed 1 - eta^2 gives 2A eta^3 - 2(A+B) eta.  Every published closed
     # form and parameter value descends from the quadratic variant.
-    f0 = velocity_seed()
     df0 = f0.differentiate()
-    A, B = p51.A, p51.B
     exact_value = A * (f0 * df0) + B * df0
     used_value = LaurentPoly({1: -2.0 * (A + B), 2: 2.0 * A})
-    c51_full = case_data.PAPER_PARAMS_VELOCITY["5.1"]
     bundled = case_data.paper_solution_velocity("5.1")
     grid = [0.1 * k for k in range(11)]
-    machine_dev = max(
-        abs(velocity_solution(p51, c51_full).assembled.evaluate(x) - bundled.evaluate(x))
-        for x in grid
-    )
+    machine_dev = max(abs(stage.assembled.evaluate(x) - bundled.evaluate(x)) for x in grid)
     findings.append(
         {
             "id": "velocity-seed-remainder-degree",

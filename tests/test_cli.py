@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -20,8 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import jhflow
-from jhflow import fitting, report
-from jhflow.cases import CASE_IDS, case_to_dict, get_case
+from jhflow import cli, fitting, report
+from jhflow.cases import CASE_IDS, CaseDefinition, case_to_dict, get_case
 from jhflow.cli import (
     EXIT_INVALID,
     EXIT_MISSING,
@@ -30,6 +31,7 @@ from jhflow.cli import (
     main,
     parse_table_range,
 )
+from jhflow.model import MODE_PAPER, MODE_SCALE_CONSISTENT
 from jhflow.oracle import ShootingDiverged, shoot_velocity
 from jhflow.polyalg import EvalAtPole, LaurentPoly
 
@@ -761,9 +763,25 @@ def test_writers_reject_a_pole_on_the_grid(tmp_path):
 
 
 def test_mode_override_round_trips_case_fields(tmp_path, capsys):
-    # Overriding the decomposition must not drop the bundled material.
+    # Overriding the decomposition must change the mode alone and keep every
+    # other field of a case file that sets them all, including any field
+    # that CaseDefinition gains later.
+    data = case_to_dict(get_case("5.1"))
+    assert data["mode"] == MODE_SCALE_CONSISTENT
+    assert {"Pr", "beta", "paperParametersVelocity", "paperParametersThermal",
+            "paperSolutionF", "paperSolutionTheta"} <= set(data)
     case_file = tmp_path / "full.json"
-    case_file.write_text(json.dumps(case_to_dict(get_case("5.1"))))
+    case_file.write_text(json.dumps(data))
+    original = cli._load_case(str(case_file), None)
+    overridden = cli._load_case(str(case_file), "paper")
+    assert overridden.mode == MODE_PAPER
+    for field in dataclasses.fields(CaseDefinition):
+        if field.name == "mode":
+            continue
+        kept = getattr(overridden, field.name)
+        assert kept == getattr(original, field.name), field.name
+        assert kept is not None and kept != field.default, field.name
+
     code, out, _ = run_cli(
         capsys,
         "export-plot-data", "--case", str(case_file), "--mode", "paper",

@@ -12,8 +12,6 @@ from jhflow.engine import (
     NonlinearExpansion,
     PoleNotCancelled,
     SingularBoundarySystem,
-    apply_aux_function,
-    run_stages,
     solve_linear_stage,
     stage_basis,
 )
@@ -138,6 +136,19 @@ def test_singular_condition_system():
         )
 
 
+def test_condition_checked_once_per_spec(monkeypatch):
+    # A spec is frozen and checked when it is built, so its stage solves
+    # never condition-check the boundary system again.
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(m) or cond(m))
+    spec = third_order_spec()
+    assert len(calls) == 1
+    solve_linear_stage(spec)
+    solve_linear_stage(spec, LaurentPoly.monomial(2), homogeneous=True)
+    assert len(calls) == 1
+
+
 # -- auxiliary functions -----------------------------------------------------
 
 
@@ -147,11 +158,10 @@ def test_aux_assemble_and_parameter_names():
             ("C1", LaurentPoly.monomial(1)),
             ("C2", LaurentPoly.constant(1.0)),
         ),
-        constant_part=LaurentPoly.constant(0.25),
     )
     assert aux.parameter_names() == ("C1", "C2")
     built = aux.assemble({"C1": 2.0, "C2": -1.0})
-    assert built == LaurentPoly({0: -0.75, 1: 2.0})
+    assert built == LaurentPoly({0: -1.0, 1: 2.0})
 
 
 def test_aux_missing_parameter():
@@ -160,16 +170,7 @@ def test_aux_missing_parameter():
         aux.assemble({"C1": 1.0})
 
 
-def test_apply_aux_cancels_pole_or_raises():
-    aux = AuxFunction(basis=(("C5", LaurentPoly.monomial(-1)),))
-    carrier = LaurentPoly.monomial(3, 2.0)
-    out = apply_aux_function(aux, {"C5": 0.5}, carrier)
-    assert out == LaurentPoly({2: 1.0})
-    with pytest.raises(PoleNotCancelled):
-        apply_aux_function(aux, {"C5": 0.5}, LaurentPoly.constant(1.0))
-
-
-# -- run_stages ---------------------------------------------------------------
+# -- stage_basis --------------------------------------------------------------
 
 
 def quadratic_nonlinearity(u0: LaurentPoly) -> NonlinearExpansion:
@@ -177,120 +178,86 @@ def quadratic_nonlinearity(u0: LaurentPoly) -> NonlinearExpansion:
     return NonlinearExpansion(value=u0 * u0, partials=(u0 * 2.0,))
 
 
-def test_run_stages_reconstructs_each_stage_equation():
-    spec = third_order_spec()
-    aux_set = (
-        AuxFunction(basis=(("C1", LaurentPoly.constant(1.0)),)),
-        AuxFunction(basis=(("C2", LaurentPoly.monomial(1)),)),
-    )
-    params = {"C1": -0.3, "C2": 0.8}
-    sol = run_stages(spec, quadratic_nonlinearity, aux_set, params)
-
-    # Stage one: u1''' + H0 N(u0) = 0 with homogeneous conditions.
-    h0 = aux_set[0].assemble(params)
-    res1 = sol.u1.differentiate(3) + h0 * quadratic_nonlinearity(sol.u0).value
-    assert max((abs(c) for _, c in res1.terms()), default=0.0) < 1e-9
-
-    # Stage two: u2''' + H1 u1 dN/du = 0.
-    h1 = aux_set[1].assemble(params)
-    res2 = sol.u2.differentiate(3) + h1 * sol.u1 * (sol.u0 * 2.0)
-    assert max((abs(c) for _, c in res2.terms()), default=0.0) < 1e-9
-
-    assert sol.assembled == sol.u0 + sol.u1 + sol.u2
+def largest_coefficient(p: LaurentPoly) -> float:
+    return max((abs(c) for _, c in p.terms()), default=0.0)
 
 
-def test_run_stages_homogeneous_corrections():
-    spec = third_order_spec(values=(1.0, 0.0, 0.0))
-    aux_set = (
-        AuxFunction(basis=(("C1", LaurentPoly.constant(1.0)),)),
-        AuxFunction(basis=(("C2", LaurentPoly.constant(1.0)),)),
-    )
-    sol = run_stages(spec, quadratic_nonlinearity, aux_set, {"C1": 0.4, "C2": -0.6})
-    for u in (sol.u1, sol.u2):
-        assert u.evaluate(0.0) == pytest.approx(0.0, abs=1e-13)
-        assert u.differentiate().evaluate(0.0) == pytest.approx(0.0, abs=1e-13)
-        assert u.evaluate(1.0) == pytest.approx(0.0, abs=1e-13)
-    # The assembled sum therefore satisfies the original conditions.
-    assert sol.assembled.evaluate(0.0) == pytest.approx(1.0, abs=1e-13)
-    assert sol.assembled.evaluate(1.0) == pytest.approx(0.0, abs=1e-13)
+def lead_aux(name="C1", shape=LaurentPoly.constant(1.0)):
+    return AuxFunction(basis=((name, shape),))
 
 
-def test_run_stages_zero_parameters_collapse_to_seed():
-    spec = third_order_spec()
-    aux_set = (
-        AuxFunction(basis=(("C1", LaurentPoly.constant(1.0)),)),
-        AuxFunction(basis=(("C2", LaurentPoly.constant(1.0)),)),
-    )
-    sol = run_stages(spec, quadratic_nonlinearity, aux_set, {"C1": 0.0, "C2": 0.0})
-    assert sol.u1 == ZERO
-    assert sol.u2 == ZERO
-    assert sol.assembled == sol.u0
-
-
-def test_run_stages_requires_first_aux():
-    spec = third_order_spec()
-    with pytest.raises(EngineError):
-        run_stages(spec, quadratic_nonlinearity, (), {})
-    with pytest.raises(EngineError):
-        run_stages(spec, quadratic_nonlinearity, (None,), {})
-
-
-def test_run_stages_skips_missing_second_slot():
-    spec = third_order_spec()
-    aux0 = AuxFunction(basis=(("C1", LaurentPoly.constant(1.0)),))
-    short = run_stages(spec, quadratic_nonlinearity, (aux0,), {"C1": 0.5})
-    with_none = run_stages(spec, quadratic_nonlinearity, (aux0, None), {"C1": 0.5})
-    assert short.u2 == ZERO
-    assert with_none.u2 == ZERO
-    assert short.u1 == with_none.u1
-
-
-def test_run_stages_ignores_extra_slots():
-    spec = third_order_spec()
-    aux_set = (
-        AuxFunction(basis=(("C1", LaurentPoly.constant(1.0)),)),
-        AuxFunction(basis=(("C2", LaurentPoly.constant(1.0)),)),
-        AuxFunction(basis=(("C3", LaurentPoly.constant(1.0)),)),  # beyond partials
-    )
-    sol = run_stages(spec, quadratic_nonlinearity, aux_set, {"C1": 0.4, "C2": 0.2, "C3": 9.0})
-    res2 = sol.u2.differentiate(3) + aux_set[1].assemble({"C2": 0.2}) * sol.u1 * (sol.u0 * 2.0)
-    assert max((abs(c) for _, c in res2.terms()), default=0.0) < 1e-9
-
-
-# -- stage_basis --------------------------------------------------------------
-
-
-def test_stage_basis_columns_rebuild_run_stages():
-    # u1 = L*a and u2 = L*sum_k Ck*b_k, so the columns of one pass weight
-    # back to the staged solution at any parameters.
+def test_stage_basis_columns_solve_their_stage_equations():
     spec = third_order_spec()
     ladder = (("C2", LaurentPoly.monomial(1)), ("C3", LaurentPoly.monomial(-1, 0.5)))
-    aux_set = (
-        AuxFunction(basis=(("C1", LaurentPoly.constant(-2.0)),)),
-        AuxFunction(basis=ladder),
-    )
+    aux_set = (lead_aux(shape=LaurentPoly.constant(-2.0)), AuxFunction(basis=ladder))
     u0, columns = stage_basis(spec, quadratic_nonlinearity, aux_set)
+    assert u0 == solve_linear_stage(spec)
     assert list(columns) == ["C1", "C2", "C3"]
-    eta = np.linspace(0.0, 1.0, 21)
-    for c in ({"C1": 0.7, "C2": -1.3, "C3": 2.1}, {"C1": -3.0, "C2": 0.25, "C3": 0.0}):
-        sol = run_stages(spec, quadratic_nonlinearity, aux_set, c)
-        assert u0 == sol.u0
-        u1 = c["C1"] * columns["C1"]
-        u2 = c["C1"] * (c["C2"] * columns["C2"] + c["C3"] * columns["C3"])
-        assert np.max(np.abs(u1.evaluate(eta) - sol.u1.evaluate(eta))) <= 1e-13
-        assert np.max(np.abs(u2.evaluate(eta) - sol.u2.evaluate(eta))) <= 1e-12
+
+    # Stage one: a''' + h0 N(u0) = 0.
+    a = columns["C1"]
+    res1 = a.differentiate(3) + LaurentPoly.constant(-2.0) * quadratic_nonlinearity(u0).value
+    assert largest_coefficient(res1) < 1e-9
+
+    # Stage two: b_k''' + shape_k * a * dN/du = 0.  The 1/eta shape of C3
+    # cancels against the eta^2 factor of a, so its column is pole-free.
+    for name, shape in ladder:
+        b = columns[name]
+        assert b.min_exponent >= 0, name
+        res2 = b.differentiate(3) + shape * (a * (u0 * 2.0))
+        assert largest_coefficient(res2) < 1e-9, name
+
+
+def test_stage_basis_corrections_are_homogeneous():
+    spec = third_order_spec(values=(1.0, 0.0, 0.0))
+    aux_set = (lead_aux(), lead_aux("C2"))
+    u0, columns = stage_basis(spec, quadratic_nonlinearity, aux_set)
+    for name, u in columns.items():
+        assert u.evaluate(0.0) == pytest.approx(0.0, abs=1e-13), name
+        assert u.differentiate().evaluate(0.0) == pytest.approx(0.0, abs=1e-13), name
+        assert u.evaluate(1.0) == pytest.approx(0.0, abs=1e-13), name
+    # Any weighted sum therefore satisfies the original conditions.
+    assembled = u0 + 0.4 * columns["C1"] + (0.4 * -0.6) * columns["C2"]
+    assert assembled.evaluate(0.0) == pytest.approx(1.0, abs=1e-13)
+    assert assembled.evaluate(1.0) == pytest.approx(0.0, abs=1e-13)
+
+
+def test_stage_basis_requires_first_aux():
+    spec = third_order_spec()
+    for aux_set in ((), (None,), (None, lead_aux("C2"))):
+        with pytest.raises(EngineError):
+            stage_basis(spec, quadratic_nonlinearity, aux_set)
+
+
+def test_stage_basis_skips_missing_second_slot():
+    spec = third_order_spec()
+    u0, short = stage_basis(spec, quadratic_nonlinearity, (lead_aux(),))
+    u0_none, with_none = stage_basis(spec, quadratic_nonlinearity, (lead_aux(), None))
+    assert list(short) == list(with_none) == ["C1"]
+    assert u0 == u0_none
+    assert short["C1"] == with_none["C1"]
+
+    # A zero partial gives its slot no column either.
+    def flat(u):
+        return NonlinearExpansion(value=u * u, partials=(ZERO,))
+
+    assert list(stage_basis(spec, flat, (lead_aux(), lead_aux("C2")))[1]) == ["C1"]
+
+
+def test_stage_basis_ignores_extra_slots():
+    spec = third_order_spec()
+    aux_set = (lead_aux(), lead_aux("C2"), lead_aux("C3"))  # C3 is beyond the partials
+    u0, columns = stage_basis(spec, quadratic_nonlinearity, aux_set)
+    assert list(columns) == ["C1", "C2"]
+    res2 = columns["C2"].differentiate(3) + columns["C1"] * (u0 * 2.0)
+    assert largest_coefficient(res2) < 1e-9
 
 
 def test_stage_basis_rejects_multipliers_it_cannot_split():
     spec = third_order_spec()
-    lead = AuxFunction(basis=(("C1", LaurentPoly.constant(1.0)),))
-    with pytest.raises(EngineError):
-        stage_basis(spec, quadratic_nonlinearity, ())
+    lead = lead_aux()
     with pytest.raises(EngineError):  # two parameters in the first multiplier
         stage_basis(spec, quadratic_nonlinearity, (AuxFunction(basis=lead.basis * 2),))
-    with pytest.raises(EngineError):  # a constant part is not linear in the parameters
-        shifted = AuxFunction(basis=(("C2", LaurentPoly.monomial(1)),), constant_part=LaurentPoly.constant(1.0))
-        stage_basis(spec, quadratic_nonlinearity, (lead, shifted))
     with pytest.raises(PoleNotCancelled):  # the carrier has no eta factor to cancel 1/eta
         forced = second_order_spec(forcing=LaurentPoly.constant(-1.0))
         pole = AuxFunction(basis=(("C2", LaurentPoly.monomial(-1)),))

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from jhflow.cases import CASE_IDS, get_case
 from jhflow.model import (
     MODE_PAPER,
     MODE_SCALE_CONSISTENT,
     FlowParams,
     THERMAL_MODES,
     THERMAL_PARAM_NAMES,
+    VELOCITY_PARAM_NAMES,
     ValidationError,
     build_thermal_aux_set,
     build_velocity_aux_set,
@@ -227,6 +229,14 @@ def test_velocity_solution_zero_parameters_is_seed():
     assert sol.assembled == sol.u0
 
 
+def test_solutions_at_zero_parameters_collapse_to_seed():
+    for mode in THERMAL_MODES:
+        sol = thermal_solution(PARAMS, dict.fromkeys(THERMAL_PARAM_NAMES, 0.0), mode=mode)
+        assert sol.u0 == thermal_seed(mode), mode
+        assert sol.u1 == ZERO and sol.u2 == ZERO, mode
+        assert sol.assembled == sol.u0, mode
+
+
 def test_velocity_solution_requires_every_parameter():
     from jhflow.engine import MissingParameter
 
@@ -278,6 +288,50 @@ def test_thermal_solution_is_continuous_in_c8(mode):
     for c8 in (1e-6, 1e-300, 5e-324, -1e-300):
         gap = np.max(np.abs(stages(c8).assembled.evaluate(eta) - theta0))
         assert gap <= abs(c8) * a + rounding, c8
+
+
+def largest_coefficient(*polys):
+    return max((abs(c) for p in polys for _, c in p.terms()), default=0.0)
+
+
+def assert_solves(lhs, rhs, label):
+    # lhs + rhs = 0 coefficient-wise, relative to the largest coefficient.
+    defect = largest_coefficient(lhs + rhs)
+    assert defect <= 1e-9 * largest_coefficient(lhs, rhs), (label, defect)
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_solutions_solve_rebuilt_stage_equations(case_id):
+    # Each correction must solve its stage equation, rebuilt here from the
+    # multipliers assembled at c and the remainder expanded at the seed,
+    # without the one-pass basis that the solutions are weighted from.
+    params = get_case(case_id).params
+    rng = np.random.default_rng(int(case_id.replace(".", "")))
+
+    def draw(names):  # signed magnitudes 1e-3 to 1e3, so C8 != 0
+        values = rng.choice((-1.0, 1.0), len(names)) * 10.0 ** rng.uniform(-3, 3, len(names))
+        return dict(zip(names, (float(v) for v in values)))
+
+    expansion = velocity_series_expansion(params)
+    aux = build_velocity_aux_set(params)
+    for _ in range(5):
+        c = draw(VELOCITY_PARAM_NAMES)
+        sol = velocity_solution(params, c)
+        assert_solves(sol.u1.differentiate(3), aux[0].assemble(c) * expansion.value, "u1")
+        carriers = (sol.u1 * expansion.partials[0], sol.u1.differentiate() * expansion.partials[1])
+        rhs2 = aux[1].assemble(c) * carriers[0] + aux[2].assemble(c) * carriers[1]
+        assert_solves(sol.u2.differentiate(3), rhs2, "u2")
+
+    h0, h1 = build_thermal_aux_set()
+    for mode in THERMAL_MODES:
+        expansion = thermal_nonlinear(params, velocity_seed(), thermal_seed(mode), mode)
+        for _ in range(5):
+            c = draw(THERMAL_PARAM_NAMES)
+            sol = thermal_solution(params, c, mode=mode)
+            assert_solves(sol.u1.differentiate(2), h0.assemble(c) * expansion.value, (mode, "u1"))
+            # The published second multiplier is h1/C8.
+            rhs2 = (h1.assemble(c) * (1.0 / c["C8"])) * (sol.u1 * expansion.partials[0])
+            assert_solves(sol.u2.differentiate(2), rhs2, (mode, "u2"))
 
 
 # -- residuals ------------------------------------------------------------------
