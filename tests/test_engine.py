@@ -186,7 +186,7 @@ def lead_aux(name="C1", shape=LaurentPoly.constant(1.0)):
     return AuxFunction(basis=((name, shape),))
 
 
-def test_stage_basis_columns_solve_their_stage_equations():
+def test_run_stages_reconstructs_each_stage_equation():
     spec = third_order_spec()
     ladder = (("C2", LaurentPoly.monomial(1)), ("C3", LaurentPoly.monomial(-1, 0.5)))
     aux_set = (lead_aux(shape=LaurentPoly.constant(-2.0)), AuxFunction(basis=ladder))
@@ -194,18 +194,68 @@ def test_stage_basis_columns_solve_their_stage_equations():
     assert u0 == solve_linear_stage(spec)
     assert list(columns) == ["C1", "C2", "C3"]
 
-    # Stage one: a''' + h0 N(u0) = 0.
+    # Each column solves its own stage equation:
+    # a''' + h0 N(u0) = 0 and b_k''' + shape_k * a * dN/du = 0.
     a = columns["C1"]
-    res1 = a.differentiate(3) + LaurentPoly.constant(-2.0) * quadratic_nonlinearity(u0).value
-    assert largest_coefficient(res1) < 1e-9
-
-    # Stage two: b_k''' + shape_k * a * dN/du = 0.  The 1/eta shape of C3
-    # cancels against the eta^2 factor of a, so its column is pole-free.
+    res_a = a.differentiate(3) + LaurentPoly.constant(-2.0) * quadratic_nonlinearity(u0).value
+    assert largest_coefficient(res_a) < 1e-9
     for name, shape in ladder:
-        b = columns[name]
-        assert b.min_exponent >= 0, name
-        res2 = b.differentiate(3) + shape * (a * (u0 * 2.0))
-        assert largest_coefficient(res2) < 1e-9, name
+        res_b = columns[name].differentiate(3) + shape * (a * (u0 * 2.0))
+        assert largest_coefficient(res_b) < 1e-9, name
+
+    # Weighted at any parameters, the stages are u1 = C1*a and
+    # u2 = C1*sum_k Ck*b_k, and they solve u1''' + H0 N(u0) = 0 and
+    # u2''' + H1 u1 dN/du = 0 with the multipliers assembled at those values.
+    params = {"C1": -0.3, "C2": 0.8, "C3": 1.7}
+    u1 = params["C1"] * a
+    u2 = params["C1"] * (params["C2"] * columns["C2"] + params["C3"] * columns["C3"])
+    h0 = aux_set[0].assemble(params)
+    h1 = aux_set[1].assemble(params)
+    res1 = u1.differentiate(3) + h0 * quadratic_nonlinearity(u0).value
+    res2 = u2.differentiate(3) + h1 * u1 * (u0 * 2.0)
+    assert largest_coefficient(res1) < 1e-9
+    assert largest_coefficient(res2) < 1e-9
+
+
+def test_apply_aux_cancels_pole_or_raises():
+    # u0 = 1 - eta^2 and a ~ eta^2, so the second stage's carrier a * 2 u0
+    # cancels a 1/eta shape.
+    spec = third_order_spec(values=(1.0, 0.0, 0.0))
+    cancels = AuxFunction(basis=(("C2", LaurentPoly.monomial(-1, 0.5)),))
+    u0, columns = stage_basis(spec, quadratic_nonlinearity, (lead_aux(), cancels))
+    b = columns["C2"]
+    assert b.min_exponent >= 0
+    res = b.differentiate(3) + LaurentPoly.monomial(-1, 0.5) * (columns["C1"] * (u0 * 2.0))
+    assert largest_coefficient(res) < 1e-9
+
+    with pytest.raises(PoleNotCancelled):  # here a(0) != 0, so a * 2 u0 keeps 1/eta^2
+        forced = second_order_spec(forcing=LaurentPoly.constant(-1.0))
+        keeps = AuxFunction(basis=(("C2", LaurentPoly.monomial(-2)),))
+        stage_basis(forced, quadratic_nonlinearity, (lead_aux(), keeps))
+    with pytest.raises(PoleNotCancelled):  # N(u0) = u0^2 is 1 at eta = 0
+        stage_basis(spec, quadratic_nonlinearity, (lead_aux(shape=LaurentPoly.monomial(-1)),))
+
+
+def test_stage_basis_columns_rebuild_run_stages():
+    # The staged solution solved stage by stage at fixed parameters must
+    # equal the columns of one pass weighted by C1 and C1*Ck.
+    spec = third_order_spec()
+    ladder = (("C2", LaurentPoly.monomial(1)), ("C3", LaurentPoly.monomial(-1, 0.5)))
+    aux_set = (lead_aux(shape=LaurentPoly.constant(-2.0)), AuxFunction(basis=ladder))
+    u0, columns = stage_basis(spec, quadratic_nonlinearity, aux_set)
+    eta = np.linspace(0.0, 1.0, 21)
+    for c in ({"C1": 0.7, "C2": -1.3, "C3": 2.1}, {"C1": -3.0, "C2": 0.25, "C3": 0.0}):
+        expansion = quadratic_nonlinearity(u0)
+        ref_u1 = solve_linear_stage(
+            spec, aux_set[0].assemble(c) * expansion.value, homogeneous=True
+        )
+        ref_u2 = solve_linear_stage(
+            spec, aux_set[1].assemble(c) * ref_u1 * expansion.partials[0], homogeneous=True
+        )
+        u1 = c["C1"] * columns["C1"]
+        u2 = c["C1"] * (c["C2"] * columns["C2"] + c["C3"] * columns["C3"])
+        assert np.max(np.abs(u1.evaluate(eta) - ref_u1.evaluate(eta))) <= 1e-13
+        assert np.max(np.abs(u2.evaluate(eta) - ref_u2.evaluate(eta))) <= 1e-12
 
 
 def test_stage_basis_corrections_are_homogeneous():
